@@ -78,12 +78,11 @@ def _cmd_generate(args) -> int:
     seq = _sequence_from_args(args)
     if args.theorem1:
         descriptor = theorem1_descriptor(seq)
-        t = seq.c1 - seq.x1
     else:
         if args.k is None:
             raise ValueError("provide --k for the offset generator, or --theorem1")
         descriptor = theorem2_descriptor(seq, args.k)
-        t = descriptor.rhs.outer_ratio
+    t = descriptor.rhs.outer_ratio
     if args.reduced:
         front = seq.x0 * term(seq, 2) - seq.x1 * seq.x1
         if front == 0:
@@ -161,16 +160,17 @@ def _summarize(name: str, reports) -> tuple[int, int, int]:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2 ** 63)
     print(f"seed = {seed}")
+    cfg = FuzzConfig(seed=seed, instance_count=args.count)
     failures = 0
     if args.theorem in ("2", "both"):
-        cfg = FuzzConfig(seed=seed, instance_count=args.count)
         failures += _summarize("theorem2", fuzz_theorem2(cfg))[2]
     if args.theorem in ("1", "both"):
-        cfg = FuzzConfig(seed=seed, instance_count=args.count)
         failures += _summarize("theorem1", fuzz_theorem1(cfg))[2]
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
@@ -187,6 +187,8 @@ def _fixtures_dir(args) -> tuple[Path, Path]:
 
 
 def _cmd_oeis_check(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     family = args.family.lower().replace("-", "").replace("_", "")
     oeis_id = FAMILY_TO_OEIS.get(family)
     if oeis_id is None:

@@ -6,14 +6,15 @@ An :class:`IdentityDescriptor` asserts, for every n >= n_min,
 
 where the sum side is outer_coef * outer_ratio^n * sum_{i=0..n} beta^i * (...).
 The classical "t^(n-i)" presentation is stored as outer_ratio = t with
-beta = 1/t, so a single evaluation loop covers every identity shape in the
-catalog. Two generators produce descriptors mechanically:
+beta = 1/t, so the one evaluation loop, :func:`sides`, covers every identity
+shape in the catalog. Each element coef * r^n * X_{s*n+o} is C-finite of order
+at most 2, so :func:`sides` walks it by its own two-term recurrence, seeded by
+one :func:`sequences.window` call, and carries the running weighted sum.
 
-* :func:`theorem1_descriptor` for normalized sequences (first term 1), with
-  weight t = c1 - A_1;
-* :func:`theorem2_descriptor` for arbitrary sequences and a summand offset k,
-  with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1} are
-  both nonzero (k may be negative).
+:func:`theorem2_descriptor` generates descriptors for any sequence and summand
+offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
+are both nonzero (k may be negative). :func:`theorem1_descriptor` is its k = 0
+case for normalized sequences (first term 1), with t = c1 - A_1.
 
 Product identities of d'Ocagne and Cassini type are provided as exact
 two-sided evaluations; the companion-matrix determinant gives an independent
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from .numeric import ensure_fraction, rat_pow
-from .sequences import FIBONACCI, LUCAS, SequenceDef, term
+from .sequences import FIBONACCI, LUCAS, SequenceDef, subsequence_def, term, window
 
 
 class DegenerateRatioError(ValueError):
@@ -74,9 +76,6 @@ class Summand:
         if self.stride < 0:
             raise ValueError("stride must be >= 0")
 
-    def value_at(self, i: int) -> Fraction:
-        return self.coef * term(self.seq, self.stride * i + self.offset)
-
 
 @dataclass(frozen=True)
 class SumSide:
@@ -92,17 +91,6 @@ class SumSide:
         object.__setattr__(self, "outer_ratio", ensure_fraction(self.outer_ratio))
         object.__setattr__(self, "beta", ensure_fraction(self.beta))
         object.__setattr__(self, "summands", tuple(self.summands))
-
-    def inner_at(self, i: int) -> Fraction:
-        return sum((s.value_at(i) for s in self.summands), Fraction(0))
-
-    def value_at(self, n: int) -> Fraction:
-        total = Fraction(0)
-        weight = Fraction(1)
-        for i in range(n + 1):
-            total += weight * self.inner_at(i)
-            weight *= self.beta
-        return self.outer_coef * rat_pow(self.outer_ratio, n) * total
 
 
 @dataclass(frozen=True)
@@ -121,12 +109,51 @@ class IdentityDescriptor:
             raise ValueError("n_min must be >= 0")
 
 
+def _walk(t: GeometricTerm, n: int):
+    """Yield t's values at n, n+1, ...: coef * r^m * Y_m, with Y the stride
+    subsequence of coefficients (a, b), obeys the recurrence (a*r, b*r^2); a
+    term with no sequence, or stride 0, is geometric: (r, 0)."""
+    r = t.ratio
+    if t.seq is None or t.stride == 0:
+        lo = t.value_at(n)
+        hi, a, b = lo * r, r, Fraction(0)
+    else:
+        sub = subsequence_def(t.seq, t.stride, t.offset)
+        y_n, y_n1 = window(sub, n)
+        w = t.coef * rat_pow(r, n)
+        lo, hi, a, b = w * y_n, w * r * y_n1, sub.c1 * r, sub.c2 * r * r
+    while True:
+        yield lo
+        lo, hi = hi, a * hi + b * lo
+
+
+def sides(d: IdentityDescriptor, n_lo: int):
+    """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
+
+    The inner sum is carried from one n to the next, with its summands walked
+    from i = 0 unweighted and the weight beta^i carried beside them.
+    """
+    if n_lo < d.n_min:
+        raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
+    lhs = [_walk(t, n_lo) for t in d.lhs]
+    rhs = d.rhs
+    summands = [
+        _walk(GeometricTerm(s.coef, 1, s.seq, s.stride, s.offset), 0)
+        for s in rhs.summands
+    ]
+    inner, weight = Fraction(0), Fraction(1)
+    outer = rhs.outer_coef * rat_pow(rhs.outer_ratio, n_lo)
+    for n in count():
+        inner += weight * sum((next(w) for w in summands), Fraction(0))
+        if n >= n_lo:
+            yield n, sum((next(w) for w in lhs), Fraction(0)), outer * inner
+            outer *= rhs.outer_ratio
+        weight *= rhs.beta
+
+
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:
-    """Exact values of both sides at n; the sum is computed term by term."""
-    if n < d.n_min:
-        raise ValueError(f"n={n} is below the descriptor's n_min={d.n_min}")
-    lhs = sum((t.value_at(n) for t in d.lhs), Fraction(0))
-    return lhs, d.rhs.value_at(n)
+    """Exact values of both sides at n: the first item of :func:`sides` from n."""
+    return next(sides(d, n))[1:]
 
 
 def theorem1_descriptor(a: SequenceDef) -> IdentityDescriptor:
@@ -134,22 +161,16 @@ def theorem1_descriptor(a: SequenceDef) -> IdentityDescriptor:
 
     Asserts A_{n+2} - A_1*A_{n+1} = (A_2 - A_1^2) * sum_{i=0..n} t^{n-i} A_i
     with t = c1 - A_1; degenerate t = 0 is rejected rather than skipped.
+    This is theorem2_descriptor(a, 0): with A_0 = 1 its weight -c2*A_{-1}
+    equals c1 - A_1, which is zero exactly when A_{-1} is.
     """
     if a.x0 != 1:
         raise ValueError("normalized sequence required: x0 must equal 1")
-    t = a.c1 - a.x1
-    if t == 0:
+    if a.c1 == a.x1:
         raise DegenerateRatioError("degenerate weight: c1 - x1 = 0")
-    a1 = a.x1
-    a2 = term(a, 2)
-    return IdentityDescriptor(
+    return replace(
+        theorem2_descriptor(a, 0),
         id=f"theorem1[{a.label or 'A'}]",
-        lhs=(
-            GeometricTerm(1, 1, a, 1, 2),
-            GeometricTerm(-a1, 1, a, 1, 1),
-        ),
-        rhs=SumSide(a2 - a1 * a1, t, 1 / t, (Summand(1, a, 1, 0),)),
-        n_min=0,
         citation="generated: normalized-sequence weighted sum",
     )
 
@@ -162,10 +183,9 @@ def theorem2_descriptor(x: SequenceDef, k: int) -> IdentityDescriptor:
     with t = -c2*X_{k-1}/X_k. Requires X_k != 0 and X_{k-1} != 0, which also
     forces t != 0 (c2 is nonzero by construction).
     """
-    xk = term(x, k)
+    xk1, xk = window(x, k - 1)
     if xk == 0:
         raise OffsetInvalidError(f"X_k = 0 at k={k}: offset violates the nonzero hypothesis")
-    xk1 = term(x, k - 1)
     if xk1 == 0:
         raise OffsetInvalidError(f"X_(k-1) = 0 at k={k}: offset violates the nonzero hypothesis")
     t = -x.c2 * xk1 / xk

@@ -7,14 +7,14 @@ A :class:`SequenceDef` fixes coefficients (c1, c2) and initial values
 
 with negative indices reached through the inverted step
 X_{n-2} = (X_n - c1*X_{n-1}) / c2, which is well defined because c2 != 0.
-Terms are memoized per definition instance in two growable runs (indices
->= 0 and < 0): verification sweeps re-read overlapping windows, and
-recomputation would be quadratic without the cache.
+Definitions are immutable values with no cache: :func:`window` walks from
+(X_0, X_1) to any index in O(|n|) steps and O(1) state, so callers share no
+state. Sweeps do not call it per index but walk their own recurrence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import ensure_fraction, rat_pow
@@ -22,22 +22,19 @@ from .numeric import ensure_fraction, rat_pow
 
 @dataclass(frozen=True)
 class SequenceDef:
-    """Immutable definition of one sequence; the caches never affect equality."""
+    """Immutable definition of one sequence."""
 
     c1: Fraction
     c2: Fraction
     x0: Fraction
     x1: Fraction
     label: str = ""
-    _fwd: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _bwd: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("c1", "c2", "x0", "x1"):
             object.__setattr__(self, name, ensure_fraction(getattr(self, name)))
         if self.c2 == 0:
             raise ValueError("c2 must be nonzero (the recurrence must be second order)")
-        self._fwd.extend((self.x0, self.x1))
 
 
 FIBONACCI = SequenceDef(1, 1, 0, 1, label="Fibonacci")
@@ -57,22 +54,22 @@ _PLAIN_FAMILIES = {
 }
 
 
-def _cached(seq: SequenceDef, m: int) -> Fraction:
-    return seq._fwd[m] if m >= 0 else seq._bwd[-m - 1]
+def window(seq: SequenceDef, n: int) -> tuple[Fraction, Fraction]:
+    """(X_n, X_{n+1}) at any integer index, walked step by step from (X_0, X_1)."""
+    c1, c2 = seq.c1, seq.c2
+    lo, hi = seq.x0, seq.x1
+    if n >= 0:
+        for _ in range(n):
+            lo, hi = hi, c1 * hi + c2 * lo
+    else:
+        for _ in range(-n):
+            lo, hi = (hi - c1 * lo) / c2, lo
+    return lo, hi
 
 
 def term(seq: SequenceDef, n: int) -> Fraction:
     """Value of the sequence at any integer index, forward or backward."""
-    if n >= 0:
-        fwd = seq._fwd
-        while len(fwd) <= n:
-            fwd.append(seq.c1 * fwd[-1] + seq.c2 * fwd[-2])
-        return fwd[n]
-    bwd = seq._bwd
-    while len(bwd) < -n:
-        m = -(len(bwd) + 1)
-        bwd.append((_cached(seq, m + 2) - seq.c1 * _cached(seq, m + 1)) / seq.c2)
-    return bwd[-n - 1]
+    return window(seq, n)[0]
 
 
 def generalized_u(a, b, label: str = "") -> SequenceDef:
@@ -109,27 +106,24 @@ def generalized_v(c1, c2, j: int) -> Fraction:
     """j-th term of the V-sequence (2, c1, c1^2 + 2*c2, ...) for (c1, c2)."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    c1 = ensure_fraction(c1)
-    c2 = ensure_fraction(c2)
-    lo, hi = Fraction(2), c1
-    for _ in range(j):
-        lo, hi = hi, c1 * hi + c2 * lo
-    return lo
+    return term(generalized_v_def(c1, c2), j)
 
 
 def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
     """Definition of Y_n = X_{j*n + k}, the every-j-th-term subsequence.
 
     Y is itself second order with coefficients (V_j, -(-c2)^j), where V_j is
-    the V-sequence value for (c1, c2); its initial values are X_k and X_{j+k}.
+    the V-sequence value for (c1, c2); its initial values are X_k and X_{j+k},
+    the latter found j steps on from the one walk out to k.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
+    x_k, x_k1 = window(seq, k)
     offset = f"+{k}" if k >= 0 else str(k)
     return SequenceDef(
         generalized_v(seq.c1, seq.c2, j),
         -rat_pow(-seq.c2, j),
-        term(seq, k),
-        term(seq, j + k),
+        x_k,
+        term(SequenceDef(seq.c1, seq.c2, x_k, x_k1), j),
         label=f"{seq.label or 'X'}[{j}n{offset}]",
     )

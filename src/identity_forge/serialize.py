@@ -110,23 +110,28 @@ def _rational(value, where: str) -> Fraction:
         raise ParseError(str(exc), where) from None
 
 
+def _build(cls, where: str, *args, **kwargs):
+    """cls(*args, **kwargs), with a rejected value reported as a ParseError at where."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), where) from None
+
+
 def _seq_from(doc, where: str) -> SequenceDef | None:
     if doc is None:
         return None
     obj = _as_object(doc, where)
     _need(obj, ("c1", "c2", "x0", "x1", "label"), where)
-    try:
-        return SequenceDef(
-            _rational(obj["c1"], f"{where}.c1"),
-            _rational(obj["c2"], f"{where}.c2"),
-            _rational(obj["x0"], f"{where}.x0"),
-            _rational(obj["x1"], f"{where}.x1"),
-            label=_as_str(obj["label"], f"{where}.label"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), where) from None
+    return _build(
+        SequenceDef,
+        where,
+        _rational(obj["c1"], f"{where}.c1"),
+        _rational(obj["c2"], f"{where}.c2"),
+        _rational(obj["x0"], f"{where}.x0"),
+        _rational(obj["x1"], f"{where}.x1"),
+        label=_as_str(obj["label"], f"{where}.label"),
+    )
 
 
 def from_json(text: str) -> IdentityDescriptor:
@@ -147,20 +152,17 @@ def from_json(text: str) -> IdentityDescriptor:
         where = f"$.lhs[{pos}]"
         t = _as_object(item, where)
         _need(t, ("coef", "ratio", "seq", "stride", "offset"), where)
-        try:
-            lhs.append(
-                GeometricTerm(
-                    _rational(t["coef"], f"{where}.coef"),
-                    _rational(t["ratio"], f"{where}.ratio"),
-                    _seq_from(t["seq"], f"{where}.seq"),
-                    _as_int(t["stride"], f"{where}.stride"),
-                    _as_int(t["offset"], f"{where}.offset"),
-                )
+        lhs.append(
+            _build(
+                GeometricTerm,
+                where,
+                _rational(t["coef"], f"{where}.coef"),
+                _rational(t["ratio"], f"{where}.ratio"),
+                _seq_from(t["seq"], f"{where}.seq"),
+                _as_int(t["stride"], f"{where}.stride"),
+                _as_int(t["offset"], f"{where}.offset"),
             )
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc), where) from None
+        )
     rhs_obj = _as_object(obj["rhs"], "$.rhs")
     _need(rhs_obj, ("outer_coef", "outer_ratio", "beta", "summands"), "$.rhs")
     if not isinstance(rhs_obj["summands"], list):
@@ -173,19 +175,16 @@ def from_json(text: str) -> IdentityDescriptor:
         seq = _seq_from(s["seq"], f"{where}.seq")
         if seq is None:
             raise ParseError("summands require a sequence", f"{where}.seq")
-        try:
-            summands.append(
-                Summand(
-                    _rational(s["coef"], f"{where}.coef"),
-                    seq,
-                    _as_int(s["stride"], f"{where}.stride"),
-                    _as_int(s["offset"], f"{where}.offset"),
-                )
+        summands.append(
+            _build(
+                Summand,
+                where,
+                _rational(s["coef"], f"{where}.coef"),
+                seq,
+                _as_int(s["stride"], f"{where}.stride"),
+                _as_int(s["offset"], f"{where}.offset"),
             )
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc), where) from None
+        )
     rhs = SumSide(
         _rational(rhs_obj["outer_coef"], "$.rhs.outer_coef"),
         _rational(rhs_obj["outer_ratio"], "$.rhs.outer_ratio"),

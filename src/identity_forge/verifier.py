@@ -1,10 +1,9 @@
 """Exact range verification of identity descriptors and seeded fuzzing.
 
 Verification compares the two sides of a descriptor at every integer in a
-range, reusing the running inner sum across consecutive n (the sum at n+1
-extends the sum at n; only the outer geometric factor changes). A single
-exact counterexample falsifies an identity, so a failed sweep stops at the
-first witness.
+range, reading them from the incremental stream :func:`engine.sides`. A
+single exact counterexample falsifies an identity, so a failed sweep stops at
+the first witness.
 
 The fuzzers draw random sequence definitions from a small rational pool,
 apply a generator from :mod:`identity_forge.engine`, and verify the result;
@@ -19,16 +18,18 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 
 from .catalog import all_entries
 from .engine import (
     DegenerateRatioError,
     IdentityDescriptor,
     OffsetInvalidError,
+    sides,
     theorem1_descriptor,
     theorem2_descriptor,
 )
-from .numeric import format_rational, rat_pow
+from .numeric import format_rational
 from .sequences import SequenceDef
 
 
@@ -69,16 +70,7 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
             f"bad range: need n_min={d.n_min} <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
         )
     start = time.perf_counter()
-    rhs = d.rhs
-    inner = Fraction(0)
-    weight = Fraction(1)
-    for i in range(n_lo + 1):
-        inner += weight * rhs.inner_at(i)
-        weight *= rhs.beta
-    outer_pow = rat_pow(rhs.outer_ratio, n_lo)
-    for n in range(n_lo, n_hi + 1):
-        lhs_val = sum((t.value_at(n) for t in d.lhs), Fraction(0))
-        rhs_val = rhs.outer_coef * outer_pow * inner
+    for n, lhs_val, rhs_val in islice(sides(d, n_lo), n_hi - n_lo + 1):
         if lhs_val != rhs_val:
             return VerificationReport(
                 id=d.id,
@@ -88,10 +80,6 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
                 first_failure=(n, lhs_val, rhs_val),
                 elapsed=time.perf_counter() - start,
             )
-        if n < n_hi:
-            inner += weight * rhs.inner_at(n + 1)
-            weight *= rhs.beta
-            outer_pow *= rhs.outer_ratio
     return VerificationReport(
         id=d.id,
         n_lo=n_lo,
@@ -161,33 +149,27 @@ def theorem1_instances(cfg: FuzzConfig):
         yield label, SequenceDef(c1, c2, 1, x1, label=f"t1#{idx}")
 
 
-def fuzz_theorem2(cfg: FuzzConfig) -> list[VerificationReport]:
-    """Generate and verify offset-sum identities; hypothesis violations skip."""
+def _fuzz(cfg: FuzzConfig, instances, generator, skip) -> list[VerificationReport]:
+    """Verify generator(*args) for each (label, *args); a skip error skips."""
     n_lo, n_hi = cfg.n_range
     reports = []
-    for label, seq, k in theorem2_instances(cfg):
+    for label, *args in instances:
         try:
-            d = theorem2_descriptor(seq, k)
-        except OffsetInvalidError as exc:
+            d = generator(*args)
+        except skip as exc:
             reports.append(
                 VerificationReport(label, n_lo, n_hi, "skipped", reason=str(exc))
             )
             continue
         reports.append(replace(verify(d, n_lo, n_hi), id=label))
     return reports
+
+
+def fuzz_theorem2(cfg: FuzzConfig) -> list[VerificationReport]:
+    """Generate and verify offset-sum identities; hypothesis violations skip."""
+    return _fuzz(cfg, theorem2_instances(cfg), theorem2_descriptor, OffsetInvalidError)
 
 
 def fuzz_theorem1(cfg: FuzzConfig) -> list[VerificationReport]:
     """Generate and verify normalized-sequence identities; t = 0 skips."""
-    n_lo, n_hi = cfg.n_range
-    reports = []
-    for label, seq in theorem1_instances(cfg):
-        try:
-            d = theorem1_descriptor(seq)
-        except DegenerateRatioError as exc:
-            reports.append(
-                VerificationReport(label, n_lo, n_hi, "skipped", reason=str(exc))
-            )
-            continue
-        reports.append(replace(verify(d, n_lo, n_hi), id=label))
-    return reports
+    return _fuzz(cfg, theorem1_instances(cfg), theorem1_descriptor, DegenerateRatioError)

@@ -23,6 +23,26 @@ def brute_term(c1, c2, x0, x1, n):
     return lo
 
 
+def brute_sides(d, n):
+    """Both sides of descriptor d at n, every term by brute_term and every
+    power taken explicitly; only d's fields are read, no package code runs."""
+
+    def x(seq, m):
+        return brute_term(seq.c1, seq.c2, seq.x0, seq.x1, m)
+
+    lhs = Fraction(0)
+    for t in d.lhs:
+        value = t.coef * t.ratio ** n
+        if t.seq is not None:
+            value *= x(t.seq, t.stride * n + t.offset)
+        lhs += value
+    total = Fraction(0)
+    for i in range(n + 1):
+        for s in d.rhs.summands:
+            total += d.rhs.beta ** i * s.coef * x(s.seq, s.stride * i + s.offset)
+    return lhs, d.rhs.outer_coef * d.rhs.outer_ratio ** n * total
+
+
 def fib(n):
     return brute_term(1, 1, 0, 1, n)
 

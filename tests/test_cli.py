@@ -187,6 +187,12 @@ class TestFuzzCommand:
         assert code == 0
         assert "0 fail" in out
 
+    def test_negative_count_rejected(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--seed", "3", "--count=-5")
+        assert code == 2
+        assert out == ""
+        assert "--count must be >= 0" in err
+
 
 class TestOeisCheck:
     @pytest.mark.parametrize(
@@ -212,6 +218,14 @@ class TestOeisCheck:
         )
         assert code == 0
         assert "0/0 terms match" in out
+
+    def test_negative_count_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "oeis-check", "--family", "fibonacci", "--count=-3", "--offline"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--count must be >= 0" in err
 
     def test_offline_never_touches_network(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from identity_forge.sequences import (
     named_def,
     subsequence_def,
     term,
+    window,
 )
 
 from oracles import (
@@ -74,6 +77,24 @@ class TestTerm:
             seq = random_def(rng)
             for n in list(range(-8, 12)) + [20, -10]:
                 assert term(seq, n) == brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n)
+                assert window(seq, n) == (
+                    brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n),
+                    brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n + 1),
+                )
+
+    def test_concurrent_calls_share_no_state(self):
+        # threads evaluating one fresh definition must not see each other's work
+        seq = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
+        expected = brute_term(Fraction(1, 2), Fraction(-1, 3), 1, 2, 3000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(term, seq, 3000) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
 
     def test_backward_forward_round_trip(self):
         rng = random.Random(11)

@@ -108,6 +108,20 @@ class TestJsonErrors:
         with pytest.raises(ParseError, match=r"lhs\[0\]\.seq"):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "pick, where",
+        [
+            (lambda doc: doc["lhs"][0], r"\$\.lhs\[0\]"),
+            (lambda doc: doc["rhs"]["summands"][0], r"\$\.rhs\.summands\[0\]"),
+        ],
+        ids=["lhs", "summand"],
+    )
+    def test_negative_stride_rejected_with_location(self, pick, where):
+        doc = self._doc()
+        pick(doc)["stride"] = -1
+        with pytest.raises(ParseError, match=rf"stride must be >= 0 \(at {where}\)"):
+            from_json(json.dumps(doc))
+
     def test_summand_requires_sequence(self):
         doc = self._doc()
         doc["rhs"]["summands"][0]["seq"] = None

@@ -1,10 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from identity_forge.catalog import all_entries, entry
-from identity_forge.engine import descriptor_eval, theorem1_descriptor, theorem2_descriptor
+from identity_forge.engine import descriptor_eval, sides, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
 from identity_forge.sequences import term
 from identity_forge.verifier import (
@@ -19,6 +20,8 @@ from identity_forge.verifier import (
     verify,
     verify_catalog,
 )
+
+from oracles import brute_sides
 
 
 def corrupt_lhs_coefficient(descriptor, value):
@@ -52,17 +55,28 @@ class TestVerify:
             verify(d, 0, 8)
 
     def test_incremental_sum_matches_pointwise_eval(self):
-        # the running-sum sweep and the naive per-n evaluation must agree;
-        # a corrupted descriptor pins the witness values to the naive ones
-        for e in (entry("eq8", m=3), entry("eq23", j=3), entry("eq11")):
-            assert verify(e.descriptor, 0, 24).passed
-            for n in range(25):
-                lhs, rhs = descriptor_eval(e.descriptor, n)
-                assert lhs == rhs
+        # the side stream, seeded at n_min and at every n, must agree with an
+        # independent brute-force evaluation (strides > 1, ratios != 1, a
+        # negative offset and a pure geometric term among the cases); a
+        # corrupted descriptor pins the witness values to the brute-force ones
+        cases = (
+            entry("eq8", m=3),
+            entry("eq23", j=3),
+            entry("eq4"),
+            entry("eqDT", j=2),
+            entry("eq44", j=3, k=-2),
+            entry("eq11"),
+        )
+        for e in cases:
+            d = e.descriptor
+            assert verify(d, d.n_min, 24).passed
+            for n, lhs, rhs in islice(sides(d, d.n_min), 25 - d.n_min):
+                assert (lhs, rhs) == brute_sides(d, n), (e.label, n)
+                assert descriptor_eval(d, n) == (lhs, rhs), (e.label, n)
         broken = corrupt_lhs_coefficient(entry("eq4").descriptor, 5)
         report = verify(broken, 0, 16)
         n, lhs, rhs = report.first_failure
-        assert (lhs, rhs) == descriptor_eval(broken, n)
+        assert (lhs, rhs) == brute_sides(broken, n)
 
     def test_nonzero_start_matches_full_sweep(self):
         d = entry("eq12", j=2).descriptor
