@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
+from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, _fib, _luc
 from .numeric import format_rational, rat_pow
 from .sequences import (
     A015530,
@@ -41,14 +41,6 @@ class CatalogEntry:
     @property
     def label(self) -> str:
         return self.descriptor.id
-
-
-def _fib(n):
-    return term(FIBONACCI, n)
-
-
-def _luc(n):
-    return term(LUCAS, n)
 
 
 def _pell(n):

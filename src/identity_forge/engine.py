@@ -9,7 +9,9 @@ The classical "t^(n-i)" presentation is stored as outer_ratio = t with
 beta = 1/t, so the one evaluation loop, :func:`sides`, covers every identity
 shape in the catalog. Each element coef * r^n * X_{s*n+o} is C-finite of order
 at most 2, so :func:`sides` walks it by its own two-term recurrence, seeded by
-one :func:`sequences.window` call, and carries the running weighted sum.
+one :func:`sequences.window` call. The sum side is carried in Horner form,
+so its running value is the side itself and not the powers r^n and beta^i,
+which grow apart when r = t = -c2*X_{k-1}/X_k at a far offset k.
 
 :func:`theorem2_descriptor` generates descriptors for any sequence and summand
 offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
@@ -130,25 +132,27 @@ def _walk(t: GeometricTerm, n: int):
 def sides(d: IdentityDescriptor, n_lo: int):
     """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
 
-    The inner sum is carried from one n to the next, with its summands walked
-    from i = 0 unweighted and the weight beta^i carried beside them.
+    The sum side c*r^n*sum_{i<=n} beta^i*u_i, u_i the summand total at i, is
+    carried in Horner form: R_n = r*R_{n-1} + g^n*(c*u_n) with g = r*beta, c
+    folded into the summand walks and g^n one running product (g = 1 for the
+    generated descriptors). R_n is the side's own value, so nothing carried
+    outgrows it.
     """
     if n_lo < d.n_min:
         raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
     lhs = [_walk(t, n_lo) for t in d.lhs]
     rhs = d.rhs
     summands = [
-        _walk(GeometricTerm(s.coef, 1, s.seq, s.stride, s.offset), 0)
+        _walk(GeometricTerm(rhs.outer_coef * s.coef, 1, s.seq, s.stride, s.offset), 0)
         for s in rhs.summands
     ]
-    inner, weight = Fraction(0), Fraction(1)
-    outer = rhs.outer_coef * rat_pow(rhs.outer_ratio, n_lo)
+    r, g = rhs.outer_ratio, rhs.outer_ratio * rhs.beta
+    total, g_n = Fraction(0), Fraction(1)
     for n in count():
-        inner += weight * sum((next(w) for w in summands), Fraction(0))
+        total = r * total + g_n * sum((next(w) for w in summands), Fraction(0))
         if n >= n_lo:
-            yield n, sum((next(w) for w in lhs), Fraction(0)), outer * inner
-            outer *= rhs.outer_ratio
-        weight *= rhs.beta
+            yield n, sum((next(w) for w in lhs), Fraction(0)), total
+        g_n *= g
 
 
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:

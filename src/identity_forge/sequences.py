@@ -9,13 +9,19 @@ with negative indices reached through the inverted step
 X_{n-2} = (X_n - c1*X_{n-1}) / c2, which is well defined because c2 != 0.
 Definitions are immutable values with no cache: :func:`window` walks from
 (X_0, X_1) to any index in O(|n|) steps and O(1) state, so callers share no
-state. Sweeps do not call it per index but walk their own recurrence.
+state. The walk runs on plain ints: with D the lcm of the denominators of
+(c1, c2) and E that of (X_0, X_1), the scaled values W_m = E*D^m*X_m obey
+W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are integers, so
+no step reduces a fraction. Backward, Y_m = X_{-m} is the same kind of
+sequence, with coefficients (-c1/c2, 1/c2). Sweeps do not call the walk per
+index but walk their own recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .numeric import ensure_fraction, rat_pow
 
@@ -54,17 +60,33 @@ _PLAIN_FAMILIES = {
 }
 
 
+def _scaled_walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int):
+    """(Y_m, Y_{m+1}) for m >= 0, Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1),
+    walked as W_j = E*D^j*Y_j over ints (see the module docstring)."""
+    d = lcm(c1.denominator, c2.denominator)
+    a = c1.numerator * (d // c1.denominator)
+    b = c2.numerator * (d * d // c2.denominator)
+    e = lcm(y0.denominator, y1.denominator)
+    lo = y0.numerator * (e // y0.denominator)
+    hi = y1.numerator * (e * d // y1.denominator)
+    for _ in range(m):
+        lo, hi = hi, a * hi + b * lo
+    scale = e * d ** m
+    return Fraction(lo, scale), Fraction(hi, scale * d)
+
+
 def window(seq: SequenceDef, n: int) -> tuple[Fraction, Fraction]:
-    """(X_n, X_{n+1}) at any integer index, walked step by step from (X_0, X_1)."""
-    c1, c2 = seq.c1, seq.c2
-    lo, hi = seq.x0, seq.x1
+    """(X_n, X_{n+1}) at any integer index, walked step by step from (X_0, X_1).
+
+    The walk carries W_m = E*D^m*X_m on ints and builds the two fractions at
+    the end. For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and
+    start (X_0, X_{-1}), to m = -n-1 and swaps the pair.
+    """
+    c1, c2, x0, x1 = seq.c1, seq.c2, seq.x0, seq.x1
     if n >= 0:
-        for _ in range(n):
-            lo, hi = hi, c1 * hi + c2 * lo
-    else:
-        for _ in range(-n):
-            lo, hi = (hi - c1 * lo) / c2, lo
-    return lo, hi
+        return _scaled_walk(c1, c2, x0, x1, n)
+    y_hi, y_lo = _scaled_walk(-c1 / c2, 1 / c2, x0, (x1 - c1 * x0) / c2, -n - 1)
+    return y_lo, y_hi
 
 
 def term(seq: SequenceDef, n: int) -> Fraction:

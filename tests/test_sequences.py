@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from identity_forge.verifier import DEFAULT_POOL
 from identity_forge.sequences import (
     A015530,
     BRONZE,
@@ -81,6 +82,32 @@ class TestTerm:
                     brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n),
                     brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n + 1),
                 )
+
+    def test_integer_walk_matches_brute_force(self):
+        # the int walk clears denominators by lcm scaling; every pool value as
+        # c1 and as c2, fractions in all four fields, c1 = 0 (backward c1 is
+        # then 0) and c2 with numerator not +-1 (1/c2 is then not an integer)
+        half, third = Fraction(1, 2), Fraction(2, 3)
+        seqs = [SequenceDef(c1, Fraction(-3, 2), half, -third) for c1 in DEFAULT_POOL]
+        seqs += [SequenceDef(third, c2, Fraction(3, 2), Fraction(1, 3))
+                 for c2 in DEFAULT_POOL if c2 != 0]
+        seqs += [
+            SequenceDef(Fraction(-1, 2), third, Fraction(5, 7), Fraction(-4, 9)),
+            SequenceDef(0, third, half, -3),
+            SequenceDef(0, Fraction(-3, 2), 1, Fraction(1, 5)),
+        ]
+        for seq in seqs:
+            x = {n: brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n) for n in range(-60, 62)}
+            for n in range(-60, 61):
+                assert window(seq, n) == (x[n], x[n + 1]), (seq, n)
+
+    @pytest.mark.parametrize("seq", [A015530, SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)])
+    @pytest.mark.parametrize("n", [3000, -3000])
+    def test_integer_walk_far_index(self, seq, n):
+        assert window(seq, n) == (
+            brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n),
+            brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n + 1),
+        )
 
     def test_concurrent_calls_share_no_state(self):
         # threads evaluating one fresh definition must not see each other's work

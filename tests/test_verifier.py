@@ -6,8 +6,9 @@ import pytest
 
 from identity_forge.catalog import all_entries, entry
 from identity_forge.engine import descriptor_eval, sides, theorem1_descriptor, theorem2_descriptor
+from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
-from identity_forge.sequences import term
+from identity_forge.sequences import A015530, FIBONACCI, SequenceDef, term
 from identity_forge.verifier import (
     DEFAULT_POOL,
     FuzzConfig,
@@ -77,6 +78,33 @@ class TestVerify:
         report = verify(broken, 0, 16)
         n, lhs, rhs = report.first_failure
         assert (lhs, rhs) == brute_sides(broken, n)
+
+    def test_horner_sum_side_matches_pointwise_eval(self):
+        # the sum side is carried as R_n = r*R_{n-1} + (r*beta)^n*(c*u_n):
+        # r != 1 with r*beta != 1, r = 0, and far offsets where r = t and
+        # beta = 1/t are huge and r*beta = 1
+        rational = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
+        zero_ratio = IdentityDescriptor(
+            "zero-ratio",
+            lhs=(GeometricTerm(6, 0),),
+            rhs=SumSide(3, 0, Fraction(5, 2), (Summand(2, FIBONACCI, 2, 1),)),
+        )
+        cases = (
+            (rewrite_scale(entry("eq4").descriptor, 3, Fraction(2, 3)), (0, 1, 5, 9)),
+            (zero_ratio, (0, 1, 2, 7)),
+            (theorem2_descriptor(A015530, 2000), (0, 1, 4)),
+            (theorem2_descriptor(rational, -1500), (0, 1, 4)),
+        )
+        for d, ns in cases:
+            assert verify(d, 0, 32).passed, d.id
+            stream = list(islice(sides(d, 0), max(ns) + 1))
+            for n in ns:
+                assert stream[n][1:] == brute_sides(d, n), (d.id, n)
+                assert descriptor_eval(d, n) == brute_sides(d, n), (d.id, n)
+        far = theorem2_descriptor(A015530, 2000)
+        broken = replace(far, rhs=replace(far.rhs, outer_coef=far.rhs.outer_coef + 1))
+        report = verify(broken, 0, 32)
+        assert report.first_failure == (0, *brute_sides(broken, 0))
 
     def test_nonzero_start_matches_full_sweep(self):
         d = entry("eq12", j=2).descriptor
