@@ -8,8 +8,8 @@ where the sum side is outer_coef * outer_ratio^n * sum_{i=0..n} beta^i * (...).
 The classical "t^(n-i)" presentation is stored as outer_ratio = t with
 beta = 1/t, so the one evaluation loop, :func:`sides`, covers every identity
 shape in the catalog. Each element coef * r^n * X_{s*n+o} is C-finite of order
-at most 2, so :func:`sides` walks it by its own two-term recurrence, seeded by
-one :func:`sequences.window` call. The sum side is carried in Horner form,
+at most 2, so :func:`sides` reads it from one :func:`sequences.walk` of its own
+two-term recurrence. The sum side is carried in Horner form,
 so its running value is the side itself and not the powers r^n and beta^i,
 which grow apart when r = t = -c2*X_{k-1}/X_k at a far offset k.
 
@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import count
 
 from .numeric import ensure_fraction, rat_pow
-from .sequences import FIBONACCI, LUCAS, SequenceDef, subsequence_def, term, window
+from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, subsequence_def, term, walk, window
 
 
 class DegenerateRatioError(ValueError):
@@ -112,21 +112,15 @@ class IdentityDescriptor:
 
 
 def _walk(t: GeometricTerm, n: int):
-    """Yield t's values at n, n+1, ...: coef * r^m * Y_m, with Y the stride
+    """One walk of t's values at n, n+1, ...: coef * r^m * Y_m, with Y the stride
     subsequence of coefficients (a, b), obeys the recurrence (a*r, b*r^2); a
-    term with no sequence, or stride 0, is geometric: (r, 0)."""
+    term with no sequence, or stride 0, is geometric: (r, 0) from coef*X_offset."""
     r = t.ratio
     if t.seq is None or t.stride == 0:
-        lo = t.value_at(n)
-        hi, a, b = lo * r, r, Fraction(0)
-    else:
-        sub = subsequence_def(t.seq, t.stride, t.offset)
-        y_n, y_n1 = window(sub, n)
-        w = t.coef * rat_pow(r, n)
-        lo, hi, a, b = w * y_n, w * r * y_n1, sub.c1 * r, sub.c2 * r * r
-    while True:
-        yield lo
-        lo, hi = hi, a * hi + b * lo
+        z0 = t.coef if t.seq is None else t.coef * term(t.seq, t.offset)
+        return walk(r, Fraction(0), z0, z0 * r, n)
+    sub = subsequence_def(t.seq, t.stride, t.offset)
+    return walk(sub.c1 * r, sub.c2 * r * r, t.coef * sub.x0, t.coef * r * sub.x1, n)
 
 
 def sides(d: IdentityDescriptor, n_lo: int):
@@ -140,6 +134,8 @@ def sides(d: IdentityDescriptor, n_lo: int):
     """
     if n_lo < d.n_min:
         raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
+    if n_lo > MAX_INDEX:
+        raise ValueError(f"n={n_lo} is beyond the limit of {MAX_INDEX}")
     lhs = [_walk(t, n_lo) for t in d.lhs]
     rhs = d.rhs
     summands = [
@@ -213,14 +209,19 @@ def docagne_general(x: SequenceDef, k: int, n: int) -> tuple[Fraction, Fraction]
 
     which holds for k positive, negative, or zero.
     """
-    lhs = term(x, n + k + 2) * term(x, k) - term(x, k + 1) * term(x, n + k + 1)
-    rhs = rat_pow(-x.c2, k) * (term(x, n + 2) * x.x0 - term(x, n + 1) * x.x1)
+    x_k, x_k1 = window(x, k)
+    x_nk1, x_nk2 = window(x, n + k + 1)
+    x_n1, x_n2 = window(x, n + 1)
+    lhs = x_nk2 * x_k - x_k1 * x_nk1
+    rhs = rat_pow(-x.c2, k) * (x_n2 * x.x0 - x_n1 * x.x1)
     return lhs, rhs
 
 
 def cassini_general(x: SequenceDef, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of X_{k+2}*X_k - X_{k+1}^2 = (-c2)^k * (X_2*X_0 - X_1^2)."""
-    lhs = term(x, k + 2) * term(x, k) - term(x, k + 1) ** 2
+    x_k, x_k1 = window(x, k)
+    x_k2 = x.c1 * x_k1 + x.c2 * x_k
+    lhs = x_k2 * x_k - x_k1 ** 2
     rhs = rat_pow(-x.c2, k) * (term(x, 2) * x.x0 - x.x1 * x.x1)
     return lhs, rhs
 

@@ -7,20 +7,23 @@ A :class:`SequenceDef` fixes coefficients (c1, c2) and initial values
 
 with negative indices reached through the inverted step
 X_{n-2} = (X_n - c1*X_{n-1}) / c2, which is well defined because c2 != 0.
-Definitions are immutable values with no cache: :func:`window` walks from
-(X_0, X_1) to any index in O(|n|) steps and O(1) state, so callers share no
-state. The walk runs on plain ints: with D the lcm of the denominators of
-(c1, c2) and E that of (X_0, X_1), the scaled values W_m = E*D^m*X_m obey
-W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are integers, so
-no step reduces a fraction. Backward, Y_m = X_{-m} is the same kind of
-sequence, with coefficients (-c1/c2, 1/c2). Sweeps do not call the walk per
-index but walk their own recurrence.
+Definitions are immutable values with no cache, so callers share no state.
+
+One kernel, :func:`walk`, steps every second-order recurrence in the package:
+single terms, subsequence seeds and the sweeps of :mod:`engine`. It runs on
+plain ints: with D the lcm of the denominators of (c1, c2) and E that of the
+start values, W_m = E*D^m*Y_m obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2},
+whose coefficients are integers, so no step reduces a fraction. Backward,
+Y_m = X_{-m} is the same kind of sequence, with coefficients (-c1/c2, 1/c2).
+A walk skips at most :data:`MAX_INDEX` steps, which bounds the work that
+untrusted indices can demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .numeric import ensure_fraction, rat_pow
@@ -60,9 +63,18 @@ _PLAIN_FAMILIES = {
 }
 
 
-def _scaled_walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int):
-    """(Y_m, Y_{m+1}) for m >= 0, Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1),
-    walked as W_j = E*D^j*Y_j over ints (see the module docstring)."""
+MAX_INDEX = 100_000
+
+
+def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
+    """Yield Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
+
+    Every step runs on the scaled ints W_j = E*D^j*Y_j (see the module
+    docstring); only the yielded values are fractions. c2 may be 0: (r, 0)
+    from (z, z*r) is the geometric z*r^j.
+    """
+    if m > MAX_INDEX:
+        raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
     d = lcm(c1.denominator, c2.denominator)
     a = c1.numerator * (d // c1.denominator)
     b = c2.numerator * (d * d // c2.denominator)
@@ -72,20 +84,21 @@ def _scaled_walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int)
     for _ in range(m):
         lo, hi = hi, a * hi + b * lo
     scale = e * d ** m
-    return Fraction(lo, scale), Fraction(hi, scale * d)
+    while True:
+        yield Fraction(lo, scale)
+        lo, hi, scale = hi, a * hi + b * lo, scale * d
 
 
 def window(seq: SequenceDef, n: int) -> tuple[Fraction, Fraction]:
-    """(X_n, X_{n+1}) at any integer index, walked step by step from (X_0, X_1).
+    """(X_n, X_{n+1}) at any integer index: the first two values of a walk.
 
-    The walk carries W_m = E*D^m*X_m on ints and builds the two fractions at
-    the end. For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and
-    start (X_0, X_{-1}), to m = -n-1 and swaps the pair.
+    For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and start
+    (X_0, X_{-1}), from m = -n-1 and swaps the pair.
     """
     c1, c2, x0, x1 = seq.c1, seq.c2, seq.x0, seq.x1
     if n >= 0:
-        return _scaled_walk(c1, c2, x0, x1, n)
-    y_hi, y_lo = _scaled_walk(-c1 / c2, 1 / c2, x0, (x1 - c1 * x0) / c2, -n - 1)
+        return tuple(islice(walk(c1, c2, x0, x1, n), 2))
+    y_hi, y_lo = islice(walk(-c1 / c2, 1 / c2, x0, (x1 - c1 * x0) / c2, -n - 1), 2)
     return y_lo, y_hi
 
 
@@ -136,7 +149,7 @@ def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
 
     Y is itself second order with coefficients (V_j, -(-c2)^j), where V_j is
     the V-sequence value for (c1, c2); its initial values are X_k and X_{j+k},
-    the latter found j steps on from the one walk out to k.
+    the latter walked j steps on from the window at k.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -146,6 +159,6 @@ def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
         generalized_v(seq.c1, seq.c2, j),
         -rat_pow(-seq.c2, j),
         x_k,
-        term(SequenceDef(seq.c1, seq.c2, x_k, x_k1), j),
+        next(walk(seq.c1, seq.c2, x_k, x_k1, j)),
         label=f"{seq.label or 'X'}[{j}n{offset}]",
     )

@@ -30,7 +30,7 @@ from .engine import (
     theorem2_descriptor,
 )
 from .numeric import format_rational
-from .sequences import SequenceDef
+from .sequences import MAX_INDEX, SequenceDef
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,21 @@ def report_line(report: VerificationReport) -> str:
 
 
 def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
-    """Exact pass/fail over [n_lo, n_hi] with the first counterexample, if any."""
+    """Exact pass/fail over [n_lo, n_hi] with the first counterexample, if any.
+
+    The stream steps n from 0 to n_hi and seeds each term at X_offset, so a
+    range whose n_hi or any |stride*n + offset| at n in {0, n_hi} exceeds
+    MAX_INDEX is rejected before anything is walked.
+    """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
             f"bad range: need n_min={d.n_min} <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
+        )
+    terms = (*d.lhs, *d.rhs.summands)
+    reach = max([n_hi] + [abs(t.stride * n + t.offset) for t in terms for n in (0, n_hi)])
+    if reach > MAX_INDEX:
+        raise ValueError(
+            f"range [{n_lo}, {n_hi}] reaches index {reach}, beyond the limit of {MAX_INDEX}"
         )
     start = time.perf_counter()
     for n, lhs_val, rhs_val in islice(sides(d, n_lo), n_hi - n_lo + 1):

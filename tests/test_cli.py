@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from identity_forge import cli
 from identity_forge import oeis
 from identity_forge.catalog import entry
+from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
+from identity_forge.sequences import FIBONACCI
 from identity_forge.serialize import from_json, to_json
 from identity_forge.verifier import verify
 
@@ -152,6 +155,52 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--n-max", "4")
         assert code == 2
         assert "provide --id or --json" in err
+
+
+class TestIndexCap:
+    """Indices past sequences.MAX_INDEX exit 2 at once instead of walking for ever."""
+
+    def assert_rejected_quickly(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "beyond the limit of 100000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("seq-eval", "--family", "lucas", "--n=1000000000"),
+        ("seq-eval", "--family", "lucas", "--n=-1000000000"),
+        ("generate", "--family", "lucas", "--k", "1000000000"),
+    ])
+    def test_far_index_flag(self, capsys, argv):
+        self.assert_rejected_quickly(capsys, *argv)
+
+    @pytest.mark.parametrize("part, field", [
+        ("lhs", "stride"), ("lhs", "offset"), ("summand", "stride"), ("summand", "offset"),
+    ])
+    def test_far_descriptor_field(self, capsys, tmp_path, part, field):
+        doc = json.loads(to_json(entry("eq12", j=2).descriptor))
+        target = doc["lhs"][0] if part == "lhs" else doc["rhs"]["summands"][0]
+        target[field] = 1000000000
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        self.assert_rejected_quickly(capsys, "verify", "--json", str(path))
+
+    @pytest.mark.parametrize("descriptor", [
+        entry("eq12", j=2).descriptor,
+        # geometric and stride-0 terms only: n_hi alone bounds the sweep
+        IdentityDescriptor(
+            "geometric", (GeometricTerm(1, 2),), SumSide(1, 1, 2, (Summand(1, FIBONACCI, 0, 1),))
+        ),
+    ], ids=["eq12", "geometric"])
+    def test_far_n_min(self, capsys, tmp_path, descriptor):
+        path = tmp_path / "far.json"
+        path.write_text(to_json(descriptor))
+        self.assert_rejected_quickly(
+            capsys, "verify", "--json", str(path),
+            "--n-min", "1000000000", "--n-max", "1000000032",
+        )
 
 
 class TestCatalogCommands:
@@ -327,3 +376,24 @@ def test_custom_sequence_verification_pipeline(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("PASS")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_CUSTOM = ("--c1", "1/2", "--c2=-1/3", "--x0", "1", "--x1", "2")
+GOLDEN_CASES = {
+    "catalog_verify_all": ("catalog", "verify-all", "--n-max", "64"),
+    "fuzz_both": ("fuzz", "--seed", "1", "--count", "200", "--theorem", "both"),
+    "generate_json": ("generate", *_CUSTOM, "--k", "-40", "--json"),
+    # generate_json's document with outer_coef's numerator raised by one
+    "verify_corrupt": ("verify", "--json", str(GOLDEN / "theorem2_k-40_corrupt.json")),
+    "seq_eval_backward": ("seq-eval", *_CUSTOM, "--n=-700"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_transcript(capsys, name):
+    # exit code, stdout and stderr byte for byte; only elapsed times are masked
+    code, out, err = run(capsys, *GOLDEN_CASES[name])
+    text = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+    masked = re.sub(r"\(\d+\.\d+s\)", "(<elapsed>)", text)
+    assert masked == (GOLDEN / f"{name}.txt").read_text()

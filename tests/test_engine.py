@@ -23,6 +23,7 @@ from identity_forge.sequences import (
     BRONZE,
     FIBONACCI,
     LUCAS,
+    MAX_INDEX,
     PELL,
     PELL_LUCAS,
     SequenceDef,
@@ -288,6 +289,14 @@ class TestDescriptorEval:
         )
         with pytest.raises(ValueError, match="below the descriptor's n_min"):
             descriptor_eval(d, 1)
+
+    def test_past_max_index_rejected(self):
+        # the sum side steps n from 0, so a far n must fail before any step
+        d = IdentityDescriptor(
+            "far", (GeometricTerm(1, 2),), SumSide(1, 1, 2, (Summand(1, FIBONACCI, 0, 1),))
+        )
+        with pytest.raises(ValueError, match="beyond the limit"):
+            descriptor_eval(d, MAX_INDEX + 1)
 
     def test_negative_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):

@@ -13,6 +13,7 @@ from identity_forge.sequences import (
     BRONZE,
     FIBONACCI,
     LUCAS,
+    MAX_INDEX,
     PELL,
     PELL_LUCAS,
     SequenceDef,
@@ -22,6 +23,7 @@ from identity_forge.sequences import (
     named_def,
     subsequence_def,
     term,
+    walk,
     window,
 )
 
@@ -108,6 +110,12 @@ class TestTerm:
             brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n),
             brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n + 1),
         )
+
+    def test_walk_skip_is_capped(self):
+        one, zero = Fraction(1), Fraction(0)
+        assert next(walk(one, zero, one, one, MAX_INDEX)) == 1
+        with pytest.raises(ValueError, match="beyond the limit"):
+            next(walk(one, zero, one, one, MAX_INDEX + 1))
 
     def test_concurrent_calls_share_no_state(self):
         # threads evaluating one fresh definition must not see each other's work

@@ -89,18 +89,38 @@ class TestVerify:
             lhs=(GeometricTerm(6, 0),),
             rhs=SumSide(3, 0, Fraction(5, 2), (Summand(2, FIBONACCI, 2, 1),)),
         )
-        cases = (
+        identities = (
             (rewrite_scale(entry("eq4").descriptor, 3, Fraction(2, 3)), (0, 1, 5, 9)),
             (zero_ratio, (0, 1, 2, 7)),
             (theorem2_descriptor(A015530, 2000), (0, 1, 4)),
             (theorem2_descriptor(rational, -1500), (0, 1, 4)),
         )
-        for d, ns in cases:
+        for d, _ in identities:
             assert verify(d, 0, 32).passed, d.id
+        # not an identity: stride-0 terms with a sequence, a geometric term
+        # of ratio -3/2 (a (r, 0) walk whose denominators need D > 1), and a
+        # stride-0 summand
+        mixed = IdentityDescriptor(
+            "mixed",
+            lhs=(
+                GeometricTerm(Fraction(2, 5), Fraction(-3, 2)),
+                GeometricTerm(-3, Fraction(1, 3), rational, 0, -4),
+                GeometricTerm(1, 2, FIBONACCI, 3, -2),
+            ),
+            rhs=SumSide(
+                Fraction(1, 7), Fraction(-3, 2), Fraction(2, 3),
+                (Summand(5, rational, 0, 3), Summand(-1, FIBONACCI, 2, 1)),
+            ),
+        )
+        for d, ns in identities + ((mixed, (0, 1, 2, 9)),):
             stream = list(islice(sides(d, 0), max(ns) + 1))
             for n in ns:
                 assert stream[n][1:] == brute_sides(d, n), (d.id, n)
                 assert descriptor_eval(d, n) == brute_sides(d, n), (d.id, n)
+            for n_lo in (5, 17):
+                # a stream started at n_lo skips n_lo steps, then steps on
+                head = [item[1:] for item in islice(sides(d, n_lo), 2)]
+                assert head == [brute_sides(d, n_lo), brute_sides(d, n_lo + 1)], (d.id, n_lo)
         far = theorem2_descriptor(A015530, 2000)
         broken = replace(far, rhs=replace(far.rhs, outer_coef=far.rhs.outer_coef + 1))
         report = verify(broken, 0, 32)
