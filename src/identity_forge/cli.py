@@ -30,7 +30,7 @@ from .oeis import (
     compare_terms,
     get_terms,
 )
-from .sequences import SequenceDef, named_def, term
+from .sequences import SequenceDef, family_key, named_def, term
 from .serialize import ParseError, from_json, to_json, to_latex
 from .verifier import (
     FuzzConfig,
@@ -45,6 +45,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# CPython's int<->str digit bound while main runs; A015530, the fastest-growing
+# named family, has about 66,700 digits at sequences.MAX_INDEX
+MAX_DIGITS = 100_000
+MAX_FUZZ_COUNT = 10_000  # instances per generator; fuzz keeps every report in memory
 
 
 def _add_sequence_flags(parser: argparse.ArgumentParser):
@@ -162,6 +167,8 @@ def _summarize(name: str, reports) -> tuple[int, int, int]:
 def _cmd_fuzz(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    if args.count > MAX_FUZZ_COUNT:
+        raise ValueError(f"--count must be <= {MAX_FUZZ_COUNT}, got {args.count}")
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2 ** 63)
@@ -189,7 +196,7 @@ def _fixtures_dir(args) -> tuple[Path, Path]:
 def _cmd_oeis_check(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    family = args.family.lower().replace("-", "").replace("_", "")
+    family = family_key(args.family)
     oeis_id = FAMILY_TO_OEIS.get(family)
     if oeis_id is None:
         raise ValueError(f"no OEIS mapping for family {args.family!r}")
@@ -275,13 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OffsetInvalidError, DegenerateRatioError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main_entry():

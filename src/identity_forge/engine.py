@@ -7,11 +7,11 @@ An :class:`IdentityDescriptor` asserts, for every n >= n_min,
 where the sum side is outer_coef * outer_ratio^n * sum_{i=0..n} beta^i * (...).
 The classical "t^(n-i)" presentation is stored as outer_ratio = t with
 beta = 1/t, so the one evaluation loop, :func:`sides`, covers every identity
-shape in the catalog. Each element coef * r^n * X_{s*n+o} is C-finite of order
-at most 2, so :func:`sides` reads it from one :func:`sequences.walk` of its own
-two-term recurrence. The sum side is carried in Horner form,
-so its running value is the side itself and not the powers r^n and beta^i,
-which grow apart when r = t = -c2*X_{k-1}/X_k at a far offset k.
+shape in the catalog. Each element coef * r^n * X_{s*n+o}, a summand's with
+r = outer_ratio*beta, is C-finite of order at most 2, so :func:`sides` reads it
+from one :func:`sequences.walk` of its own two-term recurrence. The sum side is
+carried in Horner form, so its running value is the side itself and not the
+powers r^n and beta^i, which grow apart when r = t = -c2*X_{k-1}/X_k at far k.
 
 :func:`theorem2_descriptor` generates descriptors for any sequence and summand
 offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
@@ -56,12 +56,6 @@ class GeometricTerm:
         object.__setattr__(self, "ratio", ensure_fraction(self.ratio))
         if self.stride < 0:
             raise ValueError("stride must be >= 0")
-
-    def value_at(self, n: int) -> Fraction:
-        value = self.coef * rat_pow(self.ratio, n)
-        if self.seq is not None:
-            value *= term(self.seq, self.stride * n + self.offset)
-        return value
 
 
 @dataclass(frozen=True)
@@ -127,10 +121,10 @@ def sides(d: IdentityDescriptor, n_lo: int):
     """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
 
     The sum side c*r^n*sum_{i<=n} beta^i*u_i, u_i the summand total at i, is
-    carried in Horner form: R_n = r*R_{n-1} + g^n*(c*u_n) with g = r*beta, c
-    folded into the summand walks and g^n one running product (g = 1 for the
-    generated descriptors). R_n is the side's own value, so nothing carried
-    outgrows it.
+    carried in Horner form: R_n = r*R_{n-1} + c*g^n*u_n with g = r*beta. Like
+    an LHS term's r^n, c*g^n lives in each summand's walk, of the element
+    c*coef*g^i*X_{stride*i+offset}. R_n is the side's own value, so nothing
+    carried outgrows it.
     """
     if n_lo < d.n_min:
         raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
@@ -138,17 +132,16 @@ def sides(d: IdentityDescriptor, n_lo: int):
         raise ValueError(f"n={n_lo} is beyond the limit of {MAX_INDEX}")
     lhs = [_walk(t, n_lo) for t in d.lhs]
     rhs = d.rhs
+    r, g = rhs.outer_ratio, rhs.outer_ratio * rhs.beta
     summands = [
-        _walk(GeometricTerm(rhs.outer_coef * s.coef, 1, s.seq, s.stride, s.offset), 0)
+        _walk(GeometricTerm(rhs.outer_coef * s.coef, g, s.seq, s.stride, s.offset), 0)
         for s in rhs.summands
     ]
-    r, g = rhs.outer_ratio, rhs.outer_ratio * rhs.beta
-    total, g_n = Fraction(0), Fraction(1)
+    total = Fraction(0)
     for n in count():
-        total = r * total + g_n * sum((next(w) for w in summands), Fraction(0))
+        total = r * total + sum((next(w) for w in summands), Fraction(0))
         if n >= n_lo:
             yield n, sum((next(w) for w in lhs), Fraction(0)), total
-        g_n *= g
 
 
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:

@@ -11,8 +11,9 @@ Definitions are immutable values with no cache, so callers share no state.
 
 One kernel, :func:`walk`, steps every second-order recurrence in the package:
 single terms, subsequence seeds and the sweeps of :mod:`engine`. It runs on
-plain ints: with D the lcm of the denominators of (c1, c2) and E that of the
-start values, W_m = E*D^m*Y_m obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2},
+plain ints: with E the lcm of the denominators of the start values and D the
+lcm of den(c1) and den(c2), or of den(c1) and sqrt(den(c2)) when den(c2) is a
+perfect square, W_m = E*D^m*Y_m obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2},
 whose coefficients are integers, so no step reduces a fraction. Backward,
 Y_m = X_{-m} is the same kind of sequence, with coefficients (-c1/c2, 1/c2).
 A walk skips at most :data:`MAX_INDEX` steps, which bounds the work that
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import isqrt, lcm
 
 from .numeric import ensure_fraction, rat_pow
 
@@ -75,7 +76,9 @@ def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
     """
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
-    d = lcm(c1.denominator, c2.denominator)
+    q = c2.denominator
+    root = isqrt(q)
+    d = lcm(c1.denominator, root if root * root == q else q)
     a = c1.numerator * (d // c1.denominator)
     b = c2.numerator * (d * d // c2.denominator)
     e = lcm(y0.denominator, y1.denominator)
@@ -121,9 +124,14 @@ def generalized_v_def(a, b, label: str = "") -> SequenceDef:
     return SequenceDef(a, b, 2, a, label=label or f"V({a},{b})")
 
 
+def family_key(name: str) -> str:
+    """The lookup key of a family name: lower case, without '-', '_' or spaces."""
+    return name.lower().replace("-", "").replace("_", "").replace(" ", "")
+
+
 def named_def(name: str, a=None, b=None) -> SequenceDef:
     """Look up a family by name; generalized_u / generalized_v need (a, b)."""
-    key = name.lower().replace("-", "").replace("_", "").replace(" ", "")
+    key = family_key(name)
     if key in _PLAIN_FAMILIES:
         return _PLAIN_FAMILIES[key]
     if key in ("generalizedu", "u"):

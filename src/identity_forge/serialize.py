@@ -138,7 +138,7 @@ def from_json(text: str) -> IdentityDescriptor:
     """Parse a descriptor document, re-canonicalizing any unreduced rationals."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an overlong int, deep nesting
         raise ParseError(f"invalid JSON: {exc}", "$") from None
     obj = _as_object(doc, "$")
     _need(obj, ("schema_version", "id", "n_min", "citation", "lhs", "rhs"), "$")

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -9,9 +10,11 @@ from identity_forge import cli
 from identity_forge import oeis
 from identity_forge.catalog import entry
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
-from identity_forge.sequences import FIBONACCI
+from identity_forge.sequences import FIBONACCI, named_def
 from identity_forge.serialize import from_json, to_json
 from identity_forge.verifier import verify
+
+from oracles import brute_term
 
 
 def run(capsys, *argv):
@@ -203,6 +206,46 @@ class TestIndexCap:
         )
 
 
+class TestDigitBound:
+    """main lifts CPython's 4300-digit int<->str bound to cli.MAX_DIGITS, no further."""
+
+    @pytest.mark.parametrize("family, n", [("bronze", -11981), ("a015530", 14003)])
+    def test_answer_past_default_bound_prints(self, capsys, family, n):
+        code, out, _ = run(capsys, "seq-eval", "--family", family, f"--n={n}")
+        assert code == 0
+        assert len(out.strip().lstrip("-")) > 4300
+        seq = named_def(family)
+        expected = brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(cli.MAX_DIGITS)
+        try:
+            assert out.strip() == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("field", ["coef", "stride"])
+    def test_literal_past_bound_rejected(self, capsys, tmp_path, field):
+        text = to_json(entry("eq12", j=2).descriptor)
+        long = "1" * (cli.MAX_DIGITS + 1)
+        old = '"stride": 2' if field == "stride" else '"coef": "1"'
+        new = f'"stride": {long}' if field == "stride" else f'"coef": "{long}"'
+        assert old in text
+        path = tmp_path / "long.json"
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "verify", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Exceeds the limit (100000 digits)" in err
+
+    def test_deeply_nested_document_rejected(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, "verify", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert "(at $)" in err
+
+
 class TestCatalogCommands:
     def test_verify_all_passes(self, capsys):
         code, out, _ = run(capsys, "catalog", "verify-all", "--n-max", "16")
@@ -242,6 +285,14 @@ class TestFuzzCommand:
         assert out == ""
         assert "--count must be >= 0" in err
 
+    def test_count_past_cap_rejected_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fuzz", "--count", "1000000000")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert f"--count must be <= {cli.MAX_FUZZ_COUNT}" in err
+
 
 class TestOeisCheck:
     @pytest.mark.parametrize(
@@ -260,6 +311,16 @@ class TestOeisCheck:
         )
         assert code == 0
         assert "10/10 terms match" in out
+
+    def test_family_name_normalised_as_in_seq_eval(self, capsys):
+        # one key rule for both commands: case, '-', '_' and spaces are ignored
+        code, out, _ = run(capsys, "seq-eval", "--family", "Pell lucas", "--n", "4")
+        assert (code, out.strip()) == (0, "17")
+        code, out, _ = run(
+            capsys, "oeis-check", "--family", "Pell lucas", "--count", "10", "--offline"
+        )
+        assert code == 0
+        assert "A001333 (pelllucas): 10/10 terms match" in out
 
     def test_count_zero_is_vacuous_pass(self, capsys):
         code, out, _ = run(

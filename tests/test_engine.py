@@ -306,4 +306,5 @@ class TestDescriptorEval:
 
     def test_constant_term_value(self):
         t = GeometricTerm(Fraction(3, 2), -2)
-        assert t.value_at(3) == Fraction(3, 2) * (-8)
+        d = IdentityDescriptor("constant", (t,), SumSide(0, 0, 0, ()))
+        assert descriptor_eval(d, 3)[0] == Fraction(3, 2) * (-8)

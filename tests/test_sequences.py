@@ -88,7 +88,9 @@ class TestTerm:
     def test_integer_walk_matches_brute_force(self):
         # the int walk clears denominators by lcm scaling; every pool value as
         # c1 and as c2, fractions in all four fields, c1 = 0 (backward c1 is
-        # then 0) and c2 with numerator not +-1 (1/c2 is then not an integer)
+        # then 0), c2 with numerator not +-1 (1/c2 is then not an integer), and
+        # den(c2) a perfect square (D takes its root; 9/2 walks backward with
+        # c2 = 2/9) or not (1/8 needs more than sqrt(8) rounded down)
         half, third = Fraction(1, 2), Fraction(2, 3)
         seqs = [SequenceDef(c1, Fraction(-3, 2), half, -third) for c1 in DEFAULT_POOL]
         seqs += [SequenceDef(third, c2, Fraction(3, 2), Fraction(1, 3))
@@ -98,6 +100,10 @@ class TestTerm:
             SequenceDef(0, third, half, -3),
             SequenceDef(0, Fraction(-3, 2), 1, Fraction(1, 5)),
         ]
+        seqs += [SequenceDef(third, c2, half, -third) for c2 in (
+            Fraction(1, 4), Fraction(-9, 4), Fraction(4, 9), Fraction(9, 2),
+            Fraction(1, 8), Fraction(1, 12), Fraction(1, 18),
+        )]
         for seq in seqs:
             x = {n: brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n) for n in range(-60, 62)}
             for n in range(-60, 61):

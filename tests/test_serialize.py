@@ -96,6 +96,12 @@ class TestJsonErrors:
         with pytest.raises(ParseError, match="invalid JSON"):
             from_json("{not json")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        # the decoder's RecursionError would otherwise escape as a traceback
+        with pytest.raises(ParseError) as info:
+            from_json("[" * 200_000)
+        assert info.value.location == "$"
+
     def test_error_carries_location(self):
         doc = self._doc()
         doc["lhs"][0]["coef"] = "x"

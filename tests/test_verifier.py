@@ -80,9 +80,10 @@ class TestVerify:
         assert (lhs, rhs) == brute_sides(broken, n)
 
     def test_horner_sum_side_matches_pointwise_eval(self):
-        # the sum side is carried as R_n = r*R_{n-1} + (r*beta)^n*(c*u_n):
-        # r != 1 with r*beta != 1, r = 0, and far offsets where r = t and
-        # beta = 1/t are huge and r*beta = 1
+        # the sum side is carried as R_n = r*R_{n-1} + c*g^n*u_n, g = r*beta
+        # walked inside each summand: r != 1 with g != 1, g = -1/2 (eq2), 1/2
+        # (eq8b), 3/2 (eq33) and -2/3, r = 0, and far offsets where r = t and
+        # beta = 1/t are huge and g = 1
         rational = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
         zero_ratio = IdentityDescriptor(
             "zero-ratio",
@@ -94,6 +95,10 @@ class TestVerify:
             (zero_ratio, (0, 1, 2, 7)),
             (theorem2_descriptor(A015530, 2000), (0, 1, 4)),
             (theorem2_descriptor(rational, -1500), (0, 1, 4)),
+            (entry("eq2").descriptor, (0, 1, 5, 9)),
+            (entry("eq8b", j=3).descriptor, (0, 1, 5, 9)),
+            (entry("eq33", j=2).descriptor, (0, 1, 5, 9)),
+            (rewrite_scale(entry("eq8b", j=3).descriptor, 1, Fraction(-4, 3)), (0, 1, 5, 9)),
         )
         for d, _ in identities:
             assert verify(d, 0, 32).passed, d.id
