@@ -22,7 +22,7 @@ from .engine import (
     theorem1_descriptor,
     theorem2_descriptor,
 )
-from .numeric import format_rational, parse_rational
+from .numeric import MAX_DIGITS, format_rational, parse_int, parse_rational
 from .oeis import (
     FAMILY_TO_OEIS,
     OeisUnavailableError,
@@ -46,10 +46,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# CPython's int<->str digit bound while main runs; A015530, the fastest-growing
-# named family, has about 66,700 digits at sequences.MAX_INDEX
-MAX_DIGITS = 100_000
 MAX_FUZZ_COUNT = 10_000  # instances per generator; fuzz keeps every report in memory
+
+
+def _int_flag(text: str) -> int:
+    """The type of every int flag: its refusal never echoes a long literal."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_sequence_flags(parser: argparse.ArgumentParser):
@@ -233,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq-eval", help="evaluate a sequence at any integer index")
     _add_sequence_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.set_defaults(func=_cmd_seq_eval)
 
     p = sub.add_parser("generate", help="generate an identity for a sequence")
     _add_sequence_flags(p)
-    p.add_argument("--k", type=int, help="summand offset for the general generator")
+    p.add_argument("--k", type=_int_flag, help="summand offset for the general generator")
     p.add_argument("--theorem1", action="store_true",
                    help="use the normalized-sequence generator (requires X_0 = 1)")
     p.add_argument("--reduced", action="store_true",
@@ -250,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", help="catalog id (see 'catalog list')")
     p.add_argument("--param", action="append", help="catalog parameter key=value")
     p.add_argument("--json", help="path to a descriptor JSON document")
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=32)
+    p.add_argument("--n-min", type=_int_flag, default=None)
+    p.add_argument("--n-max", type=_int_flag, default=32)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("catalog", help="catalog operations")
@@ -259,19 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
     pl = catalog_sub.add_parser("list", help="list every catalog entry")
     pl.set_defaults(func=_cmd_catalog_list)
     pv = catalog_sub.add_parser("verify-all", help="verify every catalog entry")
-    pv.add_argument("--n-max", type=int, default=64)
+    pv.add_argument("--n-max", type=_int_flag, default=64)
     pv.set_defaults(func=_cmd_catalog_verify_all)
 
     p = sub.add_parser("fuzz", help="run the seeded generator fuzzers")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_flag, default=None,
                    help="instance-stream seed (random and printed when omitted)")
-    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--count", type=_int_flag, default=500)
     p.add_argument("--theorem", choices=("1", "2", "both"), default="both")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("oeis-check", help="compare a family against its OEIS b-file")
     p.add_argument("--family", required=True)
-    p.add_argument("--count", type=int, default=30)
+    p.add_argument("--count", type=_int_flag, default=30)
     p.add_argument("--offline", action="store_true",
                    help="use bundled/local fixtures only (also IDENTITY_FORGE_OFFLINE=1)")
     p.add_argument("--fixtures", help="fixtures directory (default ./fixtures, "
@@ -282,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # CPython's int<->str digit bound while main runs, so that every value
+    # within sequences.MAX_INDEX prints
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:

@@ -6,12 +6,14 @@ An :class:`IdentityDescriptor` asserts, for every n >= n_min,
 
 where the sum side is outer_coef * outer_ratio^n * sum_{i=0..n} beta^i * (...).
 The classical "t^(n-i)" presentation is stored as outer_ratio = t with
-beta = 1/t, so the one evaluation loop, :func:`sides`, covers every identity
+beta = 1/t, so one description, :func:`recurrences`, covers every identity
 shape in the catalog. Each element coef * r^n * X_{s*n+o}, a summand's with
-r = outer_ratio*beta, is C-finite of order at most 2, so :func:`sides` reads it
-from one :func:`sequences.walk` of its own two-term recurrence. The sum side is
-carried in Horner form, so its running value is the side itself and not the
-powers r^n and beta^i, which grow apart when r = t = -c2*X_{k-1}/X_k at far k.
+r = outer_ratio*beta, is C-finite of order at most 2, so it is read from one
+:func:`sequences.walk` of its own two-term recurrence. :func:`sides`, which
+serves :func:`descriptor_eval`, carries the sum side in Horner form, so its
+running value is the side itself and not the powers r^n and beta^i, which grow
+apart when r = t = -c2*X_{k-1}/X_k at far k. A range sweep needs no running
+sum at all: :func:`verifier.verify` checks a residual of the same walks.
 
 :func:`theorem2_descriptor` generates descriptors for any sequence and summand
 offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
@@ -105,43 +107,49 @@ class IdentityDescriptor:
             raise ValueError("n_min must be >= 0")
 
 
-def _walk(t: GeometricTerm, n: int):
-    """One walk of t's values at n, n+1, ...: coef * r^m * Y_m, with Y the stride
-    subsequence of coefficients (a, b), obeys the recurrence (a*r, b*r^2); a
-    term with no sequence, or stride 0, is geometric: (r, 0) from coef*X_offset."""
+def _recurrence(t: GeometricTerm) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(c1, c2, y0, y1) of the walk of t's values: coef * r^m * Y_m, with Y the
+    stride subsequence of coefficients (a, b), obeys the recurrence (a*r, b*r^2);
+    a term with no sequence, or stride 0, is geometric: (r, 0) from coef*X_offset."""
     r = t.ratio
     if t.seq is None or t.stride == 0:
         z0 = t.coef if t.seq is None else t.coef * term(t.seq, t.offset)
-        return walk(r, Fraction(0), z0, z0 * r, n)
+        return r, Fraction(0), z0, z0 * r
     sub = subsequence_def(t.seq, t.stride, t.offset)
-    return walk(sub.c1 * r, sub.c2 * r * r, t.coef * sub.x0, t.coef * r * sub.x1, n)
+    return sub.c1 * r, sub.c2 * r * r, t.coef * sub.x0, t.coef * r * sub.x1
+
+
+def recurrences(d: IdentityDescriptor):
+    """The walk recurrences of d's LHS terms and of its summands, each summand
+    folded into the element c*coef*g^i*X_{stride*i+offset}, c = outer_coef and
+    g = outer_ratio*beta, so that the sum side is R_n = r*R_{n-1} + S_n with
+    r = outer_ratio and S_n the sum of the summand walks at n."""
+    rhs = d.rhs
+    g = rhs.outer_ratio * rhs.beta
+    folded = (GeometricTerm(rhs.outer_coef * s.coef, g, s.seq, s.stride, s.offset) for s in rhs.summands)
+    return [_recurrence(t) for t in d.lhs], [_recurrence(t) for t in folded]
 
 
 def sides(d: IdentityDescriptor, n_lo: int):
     """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
 
-    The sum side c*r^n*sum_{i<=n} beta^i*u_i, u_i the summand total at i, is
-    carried in Horner form: R_n = r*R_{n-1} + c*g^n*u_n with g = r*beta. Like
-    an LHS term's r^n, c*g^n lives in each summand's walk, of the element
-    c*coef*g^i*X_{stride*i+offset}. R_n is the side's own value, so nothing
-    carried outgrows it.
+    The sum side is carried in Horner form, R_n = r*R_{n-1} + S_n (see
+    :func:`recurrences`). Like an LHS term's r^n, each summand's g^i lives in
+    its walk, and R_n is the side's own value, so nothing carried outgrows it.
     """
     if n_lo < d.n_min:
         raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
     if n_lo > MAX_INDEX:
         raise ValueError(f"n={n_lo} is beyond the limit of {MAX_INDEX}")
-    lhs = [_walk(t, n_lo) for t in d.lhs]
-    rhs = d.rhs
-    r, g = rhs.outer_ratio, rhs.outer_ratio * rhs.beta
-    summands = [
-        _walk(GeometricTerm(rhs.outer_coef * s.coef, g, s.seq, s.stride, s.offset), 0)
-        for s in rhs.summands
-    ]
+    lhs_recs, sum_recs = recurrences(d)
+    lhs = [walk(*rec, n_lo) for rec in lhs_recs]
+    summands = [walk(*rec) for rec in sum_recs]
+    r = d.rhs.outer_ratio
     total = Fraction(0)
     for n in count():
-        total = r * total + sum((next(w) for w in summands), Fraction(0))
+        total = r * total + sum(map(next, summands), Fraction(0))
         if n >= n_lo:
-            yield n, sum((next(w) for w in lhs), Fraction(0)), total
+            yield n, sum(map(next, lhs), Fraction(0)), total
 
 
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:

@@ -15,6 +15,11 @@ from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:\s*/\s*[0-9]+)?$")
 
+# digits in a decimal literal; A015530, the fastest-growing named family, has
+# about 66,700 digits at sequences.MAX_INDEX
+MAX_DIGITS = 100_000
+TOO_LONG = f"Exceeds the limit ({MAX_DIGITS} digits) for a decimal number"
+
 
 def ensure_fraction(value) -> Fraction:
     """Coerce an int or Fraction to Fraction, rejecting floats outright."""
@@ -23,6 +28,14 @@ def ensure_fraction(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an exact rational, got {type(value).__name__}")
     return Fraction(value)
+
+
+def parse_int(text: str) -> int:
+    """int(text), refusing more than MAX_DIGITS digits with TOO_LONG, which
+    does not echo the literal."""
+    if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
+        raise ValueError(TOO_LONG)
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -37,10 +50,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in s:
         num_text, den_text = (part.strip() for part in s.split("/"))
-        if int(den_text) == 0:
+        if parse_int(den_text) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num_text), int(den_text))
-    return Fraction(int(s))
+        return Fraction(parse_int(num_text), parse_int(den_text))
+    return Fraction(parse_int(s))
 
 
 def format_rational(q: Fraction) -> str:

@@ -10,11 +10,14 @@ X_{n-2} = (X_n - c1*X_{n-1}) / c2, which is well defined because c2 != 0.
 Definitions are immutable values with no cache, so callers share no state.
 
 One kernel, :func:`walk`, steps every second-order recurrence in the package:
-single terms, subsequence seeds and the sweeps of :mod:`engine`. It runs on
-plain ints: with E the lcm of the denominators of the start values and D the
-lcm of den(c1) and den(c2), or of den(c1) and sqrt(den(c2)) when den(c2) is a
-perfect square, W_m = E*D^m*Y_m obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2},
-whose coefficients are integers, so no step reduces a fraction. Backward,
+single terms, subsequence seeds, the side stream of :mod:`engine` and the
+residual sweep of :mod:`verifier`. It runs on plain ints: with E the lcm of
+the denominators of the start values and D the lcm of den(c1) and den(c2), or
+of den(c1) and sqrt(den(c2)) when den(c2) is a perfect square, W_m = E*D^m*Y_m
+obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are
+integers, so no step reduces a fraction. Any multiples of that D and E serve
+as well, so a caller may put several walks on one common scale and combine
+their ints directly. Backward,
 Y_m = X_{-m} is the same kind of sequence, with coefficients (-c1/c2, 1/c2).
 A walk skips at most :data:`MAX_INDEX` steps, which bounds the work that
 untrusted indices can demand.
@@ -67,29 +70,41 @@ _PLAIN_FAMILIES = {
 MAX_INDEX = 100_000
 
 
-def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
+def scale_of(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction) -> tuple[int, int]:
+    """The least scale (D, E) on which a walk from these runs on ints (module docstring)."""
+    q = c2.denominator
+    root = isqrt(q)
+    return lcm(c1.denominator, root if root * root == q else q), lcm(y0.denominator, y1.denominator)
+
+
+def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0, scale=None):
     """Yield Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
 
     Every step runs on the scaled ints W_j = E*D^j*Y_j (see the module
-    docstring); only the yielded values are fractions. c2 may be 0: (r, 0)
+    docstring). Given the caller's scale = (D, E), multiples of
+    :func:`scale_of`'s D and E, the walk yields those ints; without it, the
+    fractions Y_j, read off the ints of its own scale. c2 may be 0: (r, 0)
     from (z, z*r) is the geometric z*r^j.
     """
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
-    q = c2.denominator
-    root = isqrt(q)
-    d = lcm(c1.denominator, root if root * root == q else q)
+    if scale is None:
+        d, e = scale_of(c1, c2, y0, y1)
+        s = e * d ** m
+        for w in walk(c1, c2, y0, y1, m, (d, e)):
+            yield Fraction(w, s)
+            s *= d
+        return
+    d, e = scale
     a = c1.numerator * (d // c1.denominator)
     b = c2.numerator * (d * d // c2.denominator)
-    e = lcm(y0.denominator, y1.denominator)
     lo = y0.numerator * (e // y0.denominator)
     hi = y1.numerator * (e * d // y1.denominator)
     for _ in range(m):
         lo, hi = hi, a * hi + b * lo
-    scale = e * d ** m
     while True:
-        yield Fraction(lo, scale)
-        lo, hi, scale = hi, a * hi + b * lo, scale * d
+        yield lo
+        lo, hi = hi, a * hi + b * lo
 
 
 def window(seq: SequenceDef, n: int) -> tuple[Fraction, Fraction]:

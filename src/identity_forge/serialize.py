@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
-from .numeric import format_rational, parse_rational
+from .numeric import format_rational, parse_int, parse_rational
 from .sequences import SequenceDef
 
 SCHEMA_VERSION = 1
@@ -137,7 +137,7 @@ def _seq_from(doc, where: str) -> SequenceDef | None:
 def from_json(text: str) -> IdentityDescriptor:
     """Parse a descriptor document, re-canonicalizing any unreduced rationals."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=parse_int)
     except (ValueError, RecursionError) as exc:  # bad syntax, an overlong int, deep nesting
         raise ParseError(f"invalid JSON: {exc}", "$") from None
     obj = _as_object(doc, "$")

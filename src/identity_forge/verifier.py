@@ -1,9 +1,13 @@
 """Exact range verification of identity descriptors and seeded fuzzing.
 
-Verification compares the two sides of a descriptor at every integer in a
-range, reading them from the incremental stream :func:`engine.sides`. A
-single exact counterexample falsifies an identity, so a failed sweep stops at
-the first witness.
+Verification decides whether the two sides of a descriptor agree at every
+integer in a range. Each side is C-finite and the sum side is a partial sum,
+so the difference of the sides at n is r times the difference at n-1 plus a
+residual that involves no partial sum; :func:`verify` checks the first
+difference and then the residual at each n, on plain ints (the derivation is
+in its docstring). A single exact counterexample falsifies an identity, so a
+failed sweep stops at the first witness, whose exact sides it reads from
+:func:`engine.descriptor_eval`.
 
 The fuzzers draw random sequence definitions from a small rational pool,
 apply a generator from :mod:`identity_forge.engine`, and verify the result;
@@ -18,19 +22,20 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from math import lcm
 
 from .catalog import all_entries
 from .engine import (
     DegenerateRatioError,
     IdentityDescriptor,
     OffsetInvalidError,
-    sides,
+    descriptor_eval,
+    recurrences,
     theorem1_descriptor,
     theorem2_descriptor,
 )
 from .numeric import format_rational
-from .sequences import MAX_INDEX, SequenceDef
+from .sequences import MAX_INDEX, SequenceDef, scale_of, walk
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,24 @@ def report_line(report: VerificationReport) -> str:
 def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
     """Exact pass/fail over [n_lo, n_hi] with the first counterexample, if any.
 
-    The stream steps n from 0 to n_hi and seeds each term at X_offset, so a
-    range whose n_hi or any |stride*n + offset| at n in {0, n_hi} exceeds
-    MAX_INDEX is rejected before anything is walked.
+    With L_n the LHS and R_n = r*R_{n-1} + S_n the sum side (see
+    :func:`engine.recurrences`), the difference Delta_n = L_n - R_n obeys
+    Delta_n = r*Delta_{n-1} + rho_n with the residual
+
+        rho_n = L_n - r*L_{n-1} - S_n.
+
+    So Delta is 0 on [n_lo, n_hi] exactly when Delta_{n_lo} = 0 and rho is 0
+    on (n_lo, n_hi], and the first n with Delta_n != 0 is the first n with
+    rho_n != 0; the witness there is read from :func:`engine.descriptor_eval`.
+    rho needs no running sum: every LHS and summand walk runs on one scale
+    E*D^n (D and E the lcms of the walks' own), where L~_n = E*D^n*L_n and
+    S~_n = E*D^n*S_n are ints, so rho_n = 0 is the int equation
+    den(r)*(L~_n - S~_n) = num(r)*D*L~_{n-1}. At n_lo = 0, Delta_0 = L_0 - S_0
+    is the same test with L~_{-1} = 0; at n_lo > 0 it is one descriptor_eval.
+
+    The walks step n up to n_hi and are seeded at X_offset, so a range whose
+    n_hi or any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is
+    rejected before anything is walked.
     """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
@@ -81,23 +101,31 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
             f"range [{n_lo}, {n_hi}] reaches index {reach}, beyond the limit of {MAX_INDEX}"
         )
     start = time.perf_counter()
-    for n, lhs_val, rhs_val in islice(sides(d, n_lo), n_hi - n_lo + 1):
+
+    def report(first_failure=None):
+        status = "pass" if first_failure is None else "fail"
+        elapsed = time.perf_counter() - start
+        return VerificationReport(d.id, n_lo, n_hi, status, None, first_failure, elapsed)
+
+    lhs_recs, sum_recs = recurrences(d)
+    scales = [scale_of(*rec) for rec in lhs_recs + sum_recs]
+    scale = lcm(*(s for s, _ in scales)), lcm(*(e for _, e in scales))
+    r = d.rhs.outer_ratio
+    p, q = r.numerator * scale[0], r.denominator
+    lhs = [walk(*rec, n_lo, scale) for rec in lhs_recs]
+    first, prev = n_lo, 0
+    if n_lo > 0:
+        lhs_val, rhs_val = descriptor_eval(d, n_lo)
         if lhs_val != rhs_val:
-            return VerificationReport(
-                id=d.id,
-                n_lo=n_lo,
-                n_hi=n_hi,
-                status="fail",
-                first_failure=(n, lhs_val, rhs_val),
-                elapsed=time.perf_counter() - start,
-            )
-    return VerificationReport(
-        id=d.id,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        status="pass",
-        elapsed=time.perf_counter() - start,
-    )
+            return report((n_lo, lhs_val, rhs_val))
+        first, prev = n_lo + 1, sum(map(next, lhs))
+    summands = [walk(*rec, first, scale) for rec in sum_recs]
+    for n in range(first, n_hi + 1):
+        cur = sum(map(next, lhs))
+        if q * (cur - sum(map(next, summands))) != p * prev:
+            return report((n, *descriptor_eval(d, n)))
+        prev = cur
+    return report()
 
 
 def verify_catalog(n_hi: int) -> list[VerificationReport]:

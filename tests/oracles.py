@@ -43,6 +43,16 @@ def brute_sides(d, n):
     return lhs, d.rhs.outer_coef * d.rhs.outer_ratio ** n * total
 
 
+def brute_first_failure(d, n_lo, n_hi):
+    """(n, lhs, rhs) at the first n in [n_lo, n_hi] where brute_sides differ,
+    or None when they agree on the whole range."""
+    for n in range(n_lo, n_hi + 1):
+        lhs, rhs = brute_sides(d, n)
+        if lhs != rhs:
+            return n, lhs, rhs
+    return None
+
+
 def fib(n):
     return brute_term(1, 1, 0, 1, n)
 

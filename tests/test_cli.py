@@ -237,6 +237,44 @@ class TestDigitBound:
         assert out == ""
         assert "Exceeds the limit (100000 digits)" in err
 
+    @pytest.mark.parametrize("path", [
+        "json-stride", "json-coef", "c1", "seq-eval-n", "generate-k", "verify-n-max", "fuzz-count",
+    ])
+    def test_long_literal_refusal_is_short(self, capsys, tmp_path, path):
+        # one short message of the package's own, exit 2, and the literal not echoed
+        long = "1" * (cli.MAX_DIGITS + 1)
+        text = to_json(entry("eq12", j=2).descriptor)
+        doc = tmp_path / "long.json"
+        doc.write_text(
+            text.replace('"stride": 2', f'"stride": {long}', 1) if path == "json-stride"
+            else text.replace('"coef": "1"', f'"coef": "{long}"', 1)
+        )
+        argv = {
+            "json-stride": ("verify", "--json", str(doc)),
+            "json-coef": ("verify", "--json", str(doc)),
+            "c1": ("seq-eval", "--c1", long, "--c2", "1", "--x0", "0", "--x1", "1", "--n", "3"),
+            "seq-eval-n": ("seq-eval", "--family", "lucas", f"--n={long}"),
+            "generate-k": ("generate", "--family", "lucas", "--k", long),
+            "verify-n-max": ("verify", "--id", "eq1", "--n-max", long),
+            "fuzz-count": ("fuzz", "--count", long),
+        }[path]
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as exc:  # argparse refuses a flag's value itself
+            captured = capsys.readouterr()
+            code, out, err = exc.code, captured.out, captured.err
+        assert code == 2
+        assert out == ""
+        assert "Exceeds the limit (100000 digits) for a decimal number" in err
+        assert "set_int_max_str_digits" not in err
+        assert len(err) < 400
+
+    def test_bad_int_flag_still_names_the_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "seq-eval", "--family", "lucas", "--n", "abc")
+        assert exc.value.code == 2
+        assert "argument --n" in capsys.readouterr().err
+
     def test_deeply_nested_document_rejected(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
@@ -448,6 +486,12 @@ GOLDEN_CASES = {
     # generate_json's document with outer_coef's numerator raised by one
     "verify_corrupt": ("verify", "--json", str(GOLDEN / "theorem2_k-40_corrupt.json")),
     "seq_eval_backward": ("seq-eval", *_CUSTOM, "--n=-700"),
+    # eq4 with its F_{i+1} summand swapped for the constant 1, which equals
+    # F_{i+1} only at i = 0, 1: the first witness lies past n_lo
+    "verify_ones": ("verify", "--json", str(GOLDEN / "eq4_ones.json"), "--n-max", "40"),
+    "verify_ones_n_min3": (
+        "verify", "--json", str(GOLDEN / "eq4_ones.json"), "--n-min", "3", "--n-max", "40",
+    ),
 }
 
 

@@ -8,7 +8,7 @@ from identity_forge.catalog import all_entries, entry
 from identity_forge.engine import descriptor_eval, sides, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
-from identity_forge.sequences import A015530, FIBONACCI, SequenceDef, term
+from identity_forge.sequences import A015530, FIBONACCI, LUCAS, SequenceDef, term
 from identity_forge.verifier import (
     DEFAULT_POOL,
     FuzzConfig,
@@ -22,7 +22,29 @@ from identity_forge.verifier import (
     verify_catalog,
 )
 
-from oracles import brute_sides
+from oracles import brute_first_failure, brute_sides
+
+
+RATIONAL = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
+ZERO_RATIO = IdentityDescriptor(
+    "zero-ratio",
+    lhs=(GeometricTerm(6, 0),),
+    rhs=SumSide(3, 0, Fraction(5, 2), (Summand(2, FIBONACCI, 2, 1),)),
+)
+# not an identity: stride-0 terms with a sequence, a geometric term of ratio
+# -3/2 (a (r, 0) walk whose denominators need D > 1), and a stride-0 summand
+MIXED = IdentityDescriptor(
+    "mixed",
+    lhs=(
+        GeometricTerm(Fraction(2, 5), Fraction(-3, 2)),
+        GeometricTerm(-3, Fraction(1, 3), RATIONAL, 0, -4),
+        GeometricTerm(1, 2, FIBONACCI, 3, -2),
+    ),
+    rhs=SumSide(
+        Fraction(1, 7), Fraction(-3, 2), Fraction(2, 3),
+        (Summand(5, RATIONAL, 0, 3), Summand(-1, FIBONACCI, 2, 1)),
+    ),
+)
 
 
 def corrupt_lhs_coefficient(descriptor, value):
@@ -84,17 +106,11 @@ class TestVerify:
         # walked inside each summand: r != 1 with g != 1, g = -1/2 (eq2), 1/2
         # (eq8b), 3/2 (eq33) and -2/3, r = 0, and far offsets where r = t and
         # beta = 1/t are huge and g = 1
-        rational = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
-        zero_ratio = IdentityDescriptor(
-            "zero-ratio",
-            lhs=(GeometricTerm(6, 0),),
-            rhs=SumSide(3, 0, Fraction(5, 2), (Summand(2, FIBONACCI, 2, 1),)),
-        )
         identities = (
             (rewrite_scale(entry("eq4").descriptor, 3, Fraction(2, 3)), (0, 1, 5, 9)),
-            (zero_ratio, (0, 1, 2, 7)),
+            (ZERO_RATIO, (0, 1, 2, 7)),
             (theorem2_descriptor(A015530, 2000), (0, 1, 4)),
-            (theorem2_descriptor(rational, -1500), (0, 1, 4)),
+            (theorem2_descriptor(RATIONAL, -1500), (0, 1, 4)),
             (entry("eq2").descriptor, (0, 1, 5, 9)),
             (entry("eq8b", j=3).descriptor, (0, 1, 5, 9)),
             (entry("eq33", j=2).descriptor, (0, 1, 5, 9)),
@@ -102,22 +118,7 @@ class TestVerify:
         )
         for d, _ in identities:
             assert verify(d, 0, 32).passed, d.id
-        # not an identity: stride-0 terms with a sequence, a geometric term
-        # of ratio -3/2 (a (r, 0) walk whose denominators need D > 1), and a
-        # stride-0 summand
-        mixed = IdentityDescriptor(
-            "mixed",
-            lhs=(
-                GeometricTerm(Fraction(2, 5), Fraction(-3, 2)),
-                GeometricTerm(-3, Fraction(1, 3), rational, 0, -4),
-                GeometricTerm(1, 2, FIBONACCI, 3, -2),
-            ),
-            rhs=SumSide(
-                Fraction(1, 7), Fraction(-3, 2), Fraction(2, 3),
-                (Summand(5, rational, 0, 3), Summand(-1, FIBONACCI, 2, 1)),
-            ),
-        )
-        for d, ns in identities + ((mixed, (0, 1, 2, 9)),):
+        for d, ns in identities + ((MIXED, (0, 1, 2, 9)),):
             stream = list(islice(sides(d, 0), max(ns) + 1))
             for n in ns:
                 assert stream[n][1:] == brute_sides(d, n), (d.id, n)
@@ -134,6 +135,73 @@ class TestVerify:
     def test_nonzero_start_matches_full_sweep(self):
         d = entry("eq12", j=2).descriptor
         assert verify(d, 5, 20).passed
+
+
+def coefficient_mutants(d):
+    """d with one coefficient raised by 1: each LHS coef, outer_coef, each summand coef."""
+    for i, t in enumerate(d.lhs):
+        yield replace(d, lhs=d.lhs[:i] + (replace(t, coef=t.coef + 1),) + d.lhs[i + 1:])
+    yield replace(d, rhs=replace(d.rhs, outer_coef=d.rhs.outer_coef + 1))
+    summands = d.rhs.summands
+    for i, s in enumerate(summands):
+        changed = summands[:i] + (replace(s, coef=s.coef + 1),) + summands[i + 1:]
+        yield replace(d, rhs=replace(d.rhs, summands=changed))
+
+
+def eq4_ones():
+    """eq4 with its F_{i+1} summand swapped for the constant sequence 1, which
+    equals F_{i+1} only at i = 0, 1: the sides first differ at n = 2."""
+    d = entry("eq4").descriptor
+    lucas, fib = d.rhs.summands
+    assert (lucas.seq, fib.seq, fib.offset) == (LUCAS, FIBONACCI, 1)
+    ones = Summand(1, SequenceDef(2, -1, 1, 1), 1, 0)
+    return replace(d, rhs=replace(d.rhs, summands=(lucas, ones)))
+
+
+def assert_matches_reference(d, n_lo, n_hi):
+    report = verify(d, n_lo, n_hi)
+    expected = brute_first_failure(d, n_lo, n_hi)
+    assert report.first_failure == expected, (d.id, n_lo)
+    assert report.status == ("pass" if expected is None else "fail"), (d.id, n_lo)
+    return report
+
+
+class TestResidualSweep:
+    """verify's residual check against the first n where brute_sides differ."""
+
+    def test_catalog_coefficient_mutants(self):
+        past_lo = 0
+        for e in all_entries():
+            for m in coefficient_mutants(e.descriptor):
+                report = assert_matches_reference(m, m.n_min, m.n_min + 6)
+                past_lo += report.first_failure[0] > m.n_min
+        assert past_lo > 0  # some witnesses come from the residual step itself
+
+    @pytest.mark.parametrize("n_lo", [0, 1, 2, 3])
+    def test_witness_past_n_lo(self, n_lo):
+        # the range ends at the witness itself, or well past it
+        for n_hi in (max(n_lo, 2), 12):
+            report = assert_matches_reference(eq4_ones(), n_lo, n_hi)
+            assert report.first_failure[0] == max(n_lo, 2)
+
+    @pytest.mark.parametrize("n_lo", [0, 5, 17])
+    def test_horner_inputs_from_any_start(self, n_lo):
+        far = theorem2_descriptor(A015530, 2000)
+        near = (
+            rewrite_scale(entry("eq4").descriptor, 3, Fraction(2, 3)),
+            ZERO_RATIO,
+            replace(far, rhs=replace(far.rhs, outer_coef=far.rhs.outer_coef + 1)),
+            entry("eq2").descriptor,
+            entry("eq8b", j=3).descriptor,
+            entry("eq33", j=2).descriptor,
+            rewrite_scale(entry("eq8b", j=3).descriptor, 1, Fraction(-4, 3)),
+            MIXED,
+        )
+        for d in near:
+            assert_matches_reference(d, n_lo, n_lo + 4)
+        # the brute sums walk about 2000 steps per i here, so one residual step
+        for d in (far, theorem2_descriptor(RATIONAL, -1500)):
+            assert_matches_reference(d, n_lo, n_lo + 1)
 
 
 class TestVerifyCatalog:
