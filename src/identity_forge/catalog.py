@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, _fib, _luc
-from .numeric import format_rational, rat_pow
+from .numeric import format_rational, quote, rat_pow
 from .sequences import (
     A015530,
     BRONZE,
@@ -412,14 +412,14 @@ def entry(entry_id: str, **params) -> CatalogEntry:
     """Instantiate one catalog identity; unknown ids or parameters are errors."""
     family = _FAMILIES.get(entry_id)
     if family is None:
-        raise ValueError(f"unknown catalog id: {entry_id!r}")
+        raise ValueError(f"unknown catalog id: {quote(entry_id)}")
     canonical = None
     for point in family.grid:
         if point == params:
             canonical = point
             break
     if canonical is None:
-        raise ValueError(f"parameters {params!r} are outside the grid for {entry_id}")
+        raise ValueError(f"parameters {quote(params)} are outside the grid for {entry_id}")
     lhs, rhs = family.build(**canonical)
     descriptor = IdentityDescriptor(
         id=_label(entry_id, canonical),

@@ -22,7 +22,14 @@ from .engine import (
     theorem1_descriptor,
     theorem2_descriptor,
 )
-from .numeric import MAX_DIGITS, format_rational, parse_int, parse_rational
+from .numeric import (
+    MAX_DIGITS,
+    DigitLimitError,
+    format_rational,
+    parse_int,
+    parse_rational,
+    quote,
+)
 from .oeis import (
     FAMILY_TO_OEIS,
     OeisUnavailableError,
@@ -108,14 +115,18 @@ def _cmd_generate(args) -> int:
 
 
 def _parse_param(text: str):
+    """key=value; the value is an int, else a rational, else the raw string.
+    A number past MAX_DIGITS digits is refused, not kept as a string."""
     if "=" not in text:
-        raise ValueError(f"bad --param {text!r}: expected key=value")
+        raise ValueError(f"bad --param {quote(text)}: expected key=value")
     key, raw = text.split("=", 1)
     try:
         value: object = int(raw)
     except ValueError:
         try:
             value = parse_rational(raw)
+        except DigitLimitError:
+            raise
         except ValueError:
             value = raw
     return key.strip(), value
@@ -204,7 +215,7 @@ def _cmd_oeis_check(args) -> int:
     family = family_key(args.family)
     oeis_id = FAMILY_TO_OEIS.get(family)
     if oeis_id is None:
-        raise ValueError(f"no OEIS mapping for family {args.family!r}")
+        raise ValueError(f"no OEIS mapping for family {quote(args.family)}")
     offline = args.offline or os.environ.get("IDENTITY_FORGE_OFFLINE") == "1"
     read_dir, cache_dir = _fixtures_dir(args)
     try:

@@ -20,6 +20,31 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:\s*/\s*[0-9]+)?$")
 MAX_DIGITS = 100_000
 TOO_LONG = f"Exceeds the limit ({MAX_DIGITS} digits) for a decimal number"
 
+QUOTE_CHARS = 100  # characters of an input that an error message quotes
+
+
+class DigitLimitError(ValueError):
+    """A decimal number past MAX_DIGITS digits, read or about to be written."""
+
+    def __init__(self):
+        super().__init__(TOO_LONG)
+
+
+def quote(value) -> str:
+    """repr(value) for an error message, cut after QUOTE_CHARS characters."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    return f"{text[:QUOTE_CHARS]}... ({len(text)} characters)"
+
+
+def _past_max_digits(n: int) -> bool:
+    """|n| has more than MAX_DIGITS digits, told without an int->str conversion."""
+    n = abs(n)
+    # 10**MAX_DIGITS has more than 3.32 * MAX_DIGITS bits, so the exact
+    # comparison runs only for numbers within a few dozen digits of the limit
+    return 100 * n.bit_length() > 332 * MAX_DIGITS and n >= 10 ** MAX_DIGITS
+
 
 def ensure_fraction(value) -> Fraction:
     """Coerce an int or Fraction to Fraction, rejecting floats outright."""
@@ -31,10 +56,10 @@ def ensure_fraction(value) -> Fraction:
 
 
 def parse_int(text: str) -> int:
-    """int(text), refusing more than MAX_DIGITS digits with TOO_LONG, which
-    does not echo the literal."""
+    """int(text), refusing more than MAX_DIGITS digits with DigitLimitError,
+    which does not echo the literal."""
     if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
-        raise ValueError(TOO_LONG)
+        raise DigitLimitError()
     return int(text)
 
 
@@ -47,18 +72,24 @@ def parse_rational(text: str) -> Fraction:
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {quote(text)}")
     if "/" in s:
         num_text, den_text = (part.strip() for part in s.split("/"))
         if parse_int(den_text) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {quote(text)}")
         return Fraction(parse_int(num_text), parse_int(den_text))
     return Fraction(parse_int(s))
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text form: "p/q" with q > 0, collapsing to "p" when q = 1."""
-    return str(ensure_fraction(q))
+    """Canonical text form: "p/q" with q > 0, collapsing to "p" when q = 1.
+
+    A numerator or denominator past MAX_DIGITS digits raises DigitLimitError.
+    """
+    q = ensure_fraction(q)
+    if _past_max_digits(q.numerator) or _past_max_digits(q.denominator):
+        raise DigitLimitError()
+    return str(q)
 
 
 def rat_pow(q, e: int) -> Fraction:

@@ -8,11 +8,10 @@ and get cached back into the fixtures directory.
 
 from __future__ import annotations
 
-import urllib.request
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
+from .numeric import quote
 from .sequences import named_def, term
 
 FAMILY_TO_OEIS = {
@@ -49,7 +48,7 @@ def parse_bfile(text: str, sequence_id: str, source: str) -> OeisFixture:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"{sequence_id} line {lineno}: expected 'index value', got {raw!r}")
+            raise ValueError(f"{sequence_id} line {lineno}: expected 'index value', got {quote(raw)}")
         index, value = int(fields[0]), int(fields[1])
         if terms and index != terms[-1][0] + 1:
             raise ValueError(
@@ -63,6 +62,8 @@ def parse_bfile(text: str, sequence_id: str, source: str) -> OeisFixture:
 
 
 def bundled_fixtures_dir() -> Path:
+    from importlib import resources  # imported here: only oeis-check reads fixtures
+
     return Path(resources.files("identity_forge") / "fixtures")
 
 
@@ -74,6 +75,10 @@ def load_fixture(sequence_id: str, fixtures_dir: Path) -> OeisFixture:
 
 
 def fetch_bfile(sequence_id: str, timeout: float = 30.0) -> str:
+    # imported here, not at module level: urllib.request loads http.client,
+    # ssl and email, which only a live fetch uses
+    import urllib.request
+
     url = OEIS_URL.format(id=sequence_id, digits=sequence_id[1:])
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read().decode("utf-8")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
 
-from .numeric import ensure_fraction, rat_pow
+from .numeric import ensure_fraction, quote, rat_pow
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,9 @@ def named_def(name: str, a=None, b=None) -> SequenceDef:
     elif key in ("generalizedv", "v"):
         builder = generalized_v_def
     else:
-        raise ValueError(f"unknown sequence family: {name!r}")
+        raise ValueError(f"unknown sequence family: {quote(name)}")
     if a is None or b is None:
-        raise ValueError(f"family {name!r} requires parameters a and b")
+        raise ValueError(f"family {quote(name)} requires parameters a and b")
     return builder(a, b)
 
 

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
-from .numeric import format_rational, parse_int, parse_rational
+from .numeric import format_rational, parse_int, parse_rational, quote
 from .sequences import SequenceDef
 
 SCHEMA_VERSION = 1
@@ -78,7 +78,7 @@ def to_json(d: IdentityDescriptor, indent: int | None = 2) -> str:
 def _need(obj: dict, keys: tuple, where: str):
     extra = set(obj) - set(keys)
     if extra:
-        raise ParseError(f"unknown field {sorted(extra)[0]!r}", where)
+        raise ParseError(f"unknown field {quote(sorted(extra)[0])}", where)
     for key in keys:
         if key not in obj:
             raise ParseError(f"missing field {key!r}", where)
@@ -248,15 +248,15 @@ def _coef_latex(q: Fraction) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     if q.denominator == 1:
-        return f"{sign}{q.numerator}"
-    return f"{sign}\\frac{{{q.numerator}}}{{{q.denominator}}}"
+        return f"{sign}{format_rational(q)}"
+    return f"{sign}\\frac{{{format_rational(q.numerator)}}}{{{format_rational(q.denominator)}}}"
 
 
 def _base_latex(q: Fraction) -> str:
     """Power base: parenthesized when negative or fractional."""
     if q < 0 or q.denominator != 1:
         return f"({format_rational(q)})"
-    return str(q.numerator)
+    return format_rational(q)
 
 
 def _index_latex(stride: int, offset: int, var: str) -> str:

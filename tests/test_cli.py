@@ -1,7 +1,10 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from identity_forge import cli
 from identity_forge import oeis
 from identity_forge.catalog import entry
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
+from identity_forge.numeric import format_rational
 from identity_forge.sequences import FIBONACCI, named_def
 from identity_forge.serialize import from_json, to_json
 from identity_forge.verifier import verify
@@ -237,8 +241,35 @@ class TestDigitBound:
         assert out == ""
         assert "Exceeds the limit (100000 digits)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("seq-eval", "--c1", "1/100000", "--c2", "1", "--x0", "1", "--x1", "1", "--n", "21000"),
+        ("generate", "--c1", "1/100000", "--c2", "1", "--x0", "1", "--x1", "1", "--k", "21000"),
+    ])
+    def test_result_past_bound_refused(self, capsys, argv):
+        # X_n's denominator 10**(5*(n-1)) has 104,996 digits: no conversion
+        # is tried, and the refusal is the package's own
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "Exceeds the limit (100000 digits) for a decimal number" in err
+        assert "set_int_max_str_digits" not in err
+        assert len(err) < 400
+
+    def test_format_rational_bound_is_exact(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            widest = 10 ** cli.MAX_DIGITS - 1
+            for q in (widest, -widest, Fraction(1, widest), Fraction(-widest, widest - 2)):
+                assert format_rational(q) == str(Fraction(q))
+            for q in (widest + 1, -(widest + 1), Fraction(1, widest + 1), 10 ** (2 * cli.MAX_DIGITS)):
+                with pytest.raises(ValueError, match="for a decimal number"):
+                    format_rational(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("path", [
         "json-stride", "json-coef", "c1", "seq-eval-n", "generate-k", "verify-n-max", "fuzz-count",
+        "param", "c1-not-literal", "param-string", "catalog-id", "family", "oeis-family",
     ])
     def test_long_literal_refusal_is_short(self, capsys, tmp_path, path):
         # one short message of the package's own, exit 2, and the literal not echoed
@@ -257,7 +288,20 @@ class TestDigitBound:
             "generate-k": ("generate", "--family", "lucas", "--k", long),
             "verify-n-max": ("verify", "--id", "eq1", "--n-max", long),
             "fuzz-count": ("fuzz", "--count", long),
+            "param": ("verify", "--id", "eq1", "--param", f"j={long}"),
+            "c1-not-literal": ("seq-eval", "--c1", f"{long}x", "--c2", "1", "--x0", "0", "--x1", "1", "--n", "3"),
+            "param-string": ("verify", "--id", "eq1", "--param", f"j=a{long}"),
+            "catalog-id": ("verify", "--id", f"eq{long}"),
+            "family": ("seq-eval", "--family", f"f{long}", "--n", "3"),
+            "oeis-family": ("oeis-check", "--family", f"f{long}", "--offline"),
         }[path]
+        message = {
+            "c1-not-literal": "not a rational literal: '111",
+            "param-string": "parameters {'j': 'a111",
+            "catalog-id": "unknown catalog id: 'eq111",
+            "family": "unknown sequence family: 'f111",
+            "oeis-family": "no OEIS mapping for family 'f111",
+        }.get(path, "Exceeds the limit (100000 digits) for a decimal number")
         try:
             code, out, err = run(capsys, *argv)
         except SystemExit as exc:  # argparse refuses a flag's value itself
@@ -265,9 +309,15 @@ class TestDigitBound:
             code, out, err = exc.code, captured.out, captured.err
         assert code == 2
         assert out == ""
-        assert "Exceeds the limit (100000 digits) for a decimal number" in err
+        assert message in err
         assert "set_int_max_str_digits" not in err
         assert len(err) < 400
+
+    def test_short_literal_still_echoed_in_full(self, capsys):
+        text = "1" * 90 + "x"
+        code, _, err = run(capsys, "seq-eval", "--c1", text, "--c2", "1", "--x0", "0", "--x1", "1", "--n", "3")
+        assert code == 2
+        assert err == f"error: not a rational literal: {text!r}\n"
 
     def test_bad_int_flag_still_names_the_value(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -439,6 +489,29 @@ class TestOeisCheck:
         assert code == 2
         assert "no OEIS mapping" in err
 
+    def test_live_fetch_asks_oeis_for_the_bfile(self, monkeypatch):
+        import urllib.request
+
+        calls = []
+
+        class Response:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return "0 0\n1 1\n2 2\n".encode("utf-8")
+
+        def fake_urlopen(url, timeout):
+            calls.append((url, timeout))
+            return Response()
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        assert oeis.fetch_bfile("A000129", timeout=7.5) == "0 0\n1 1\n2 2\n"
+        assert calls == [("https://oeis.org/A000129/b000129.txt", 7.5)]
+
 
 class TestBfileParsing:
     def test_comments_and_blanks_ignored(self):
@@ -461,6 +534,46 @@ class TestBfileParsing:
         for oeis_id in oeis.FAMILY_TO_OEIS.values():
             fixture = oeis.load_fixture(oeis_id, oeis.bundled_fixtures_dir())
             assert len(fixture.terms) >= 40
+
+
+# A fresh interpreter under -S (no site, so no .pth file preloads anything):
+# the modules that importing the CLI and running one command add.
+_IMPORTS_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import identity_forge.cli
+identity_forge.cli.main(sys.argv[2:])
+added = sorted(set(sys.modules) - before)
+with open(sys.argv[1], "w") as out:
+    json.dump(added, out)
+"""
+# what only a live oeis-check fetch or a bundled-fixture lookup uses
+_NETWORK_MODULES = ("urllib.request", "http.client", "ssl", "email", "importlib.resources")
+# perfbench/tracer.py wraps functions in these right after importing the CLI
+_TRACED_MODULES = tuple(
+    f"identity_forge.{name}"
+    for name in ("catalog", "engine", "verifier", "sequences", "numeric", "serialize")
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq-eval", "--family", "lucas", "--n", "500"),
+    ("generate", "--family", "pell", "--k", "2", "--json"),
+    ("verify", "--json", str(Path(__file__).parent / "golden" / "eq4_ones.json")),
+], ids=["seq-eval", "generate-json", "verify-json"])
+def test_startup_loads_no_network_stack(tmp_path, argv):
+    out = tmp_path / "modules.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORTS_SCRIPT, str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(out.read_text()))
+    network = {m for m in added for n in _NETWORK_MODULES if m == n or m.startswith(n + ".")}
+    assert network == set()
+    assert set(_TRACED_MODULES) <= added
 
 
 def test_custom_sequence_verification_pipeline(capsys, tmp_path):
