@@ -11,6 +11,7 @@ import argparse
 import os
 import random
 import sys
+from _thread import allocate_lock  # threading.Lock, without importing threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -297,19 +298,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _RaisedDigitLimit:
+    """CPython's int<->str digit bound, raised to MAX_DIGITS while any main()
+    runs, so that every value within sequences.MAX_INDEX prints. The bound is
+    process-wide: the first call in saves and raises it, the last call out
+    restores it, so overlapping calls in threads neither lower it under each
+    other nor leave it raised."""
+
+    def __init__(self):
+        self._lock = allocate_lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(MAX_DIGITS)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                sys.set_int_max_str_digits(self._saved)
+
+
+_DIGIT_LIMIT = _RaisedDigitLimit()
+
+
 def main(argv=None) -> int:
-    # CPython's int<->str digit bound while main runs, so that every value
-    # within sequences.MAX_INDEX prints
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(MAX_DIGITS)
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (OffsetInvalidError, DegenerateRatioError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """Run one command and return its exit code.
+
+    While main runs, the process-wide int<->str digit limit is MAX_DIGITS, and
+    other threads see that raised limit too; it is restored when the last
+    overlapping call returns.
+    """
+    with _DIGIT_LIMIT:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (OffsetInvalidError, DegenerateRatioError, ParseError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 def main_entry():

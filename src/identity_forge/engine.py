@@ -8,12 +8,14 @@ where the sum side is outer_coef * outer_ratio^n * sum_{i=0..n} beta^i * (...).
 The classical "t^(n-i)" presentation is stored as outer_ratio = t with
 beta = 1/t, so one description, :func:`recurrences`, covers every identity
 shape in the catalog. Each element coef * r^n * X_{s*n+o}, a summand's with
-r = outer_ratio*beta, is C-finite of order at most 2, so it is read from one
-:func:`sequences.walk` of its own two-term recurrence. :func:`sides`, which
-serves :func:`descriptor_eval`, carries the sum side in Horner form, so its
-running value is the side itself and not the powers r^n and beta^i, which grow
-apart when r = t = -c2*X_{k-1}/X_k at far k. A range sweep needs no running
-sum at all: :func:`verifier.verify` checks a residual of the same walks.
+r = outer_ratio*beta, is C-finite of order at most 2: it obeys a two-term
+recurrence (c1, c2). Elements of one recurrence add up to one more solution
+of it, so :func:`recurrences` groups them into classes, and each side of a
+class is read from one :func:`sequences.walk`. :func:`sides`, which serves
+:func:`descriptor_eval`, carries the sum side in Horner form, so its running
+value is the side itself and not the powers r^n and beta^i, which grow apart
+when r = t = -c2*X_{k-1}/X_k at far k. A range sweep needs no running sum at
+all: :func:`verifier.verify` walks the residual of each class.
 
 :func:`theorem2_descriptor` generates descriptors for any sequence and summand
 offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
@@ -32,7 +34,7 @@ from fractions import Fraction
 from itertools import count
 
 from .numeric import ensure_fraction, rat_pow
-from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, subsequence_def, term, walk, window
+from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, stride_recurrence, term, walk, window
 
 
 class DegenerateRatioError(ValueError):
@@ -115,35 +117,58 @@ def _recurrence(t: GeometricTerm) -> tuple[Fraction, Fraction, Fraction, Fractio
     if t.seq is None or t.stride == 0:
         z0 = t.coef if t.seq is None else t.coef * term(t.seq, t.offset)
         return r, Fraction(0), z0, z0 * r
-    sub = subsequence_def(t.seq, t.stride, t.offset)
-    return sub.c1 * r, sub.c2 * r * r, t.coef * sub.x0, t.coef * r * sub.x1
+    a, b, y0, y1 = stride_recurrence(t.seq, t.stride, t.offset)
+    return a * r, b * r * r, t.coef * y0, t.coef * r * y1
 
 
-def recurrences(d: IdentityDescriptor):
-    """The walk recurrences of d's LHS terms and of its summands, each summand
-    folded into the element c*coef*g^i*X_{stride*i+offset}, c = outer_coef and
-    g = outer_ratio*beta, so that the sum side is R_n = r*R_{n-1} + S_n with
-    r = outer_ratio and S_n the sum of the summand walks at n."""
+def recurrences(d: IdentityDescriptor) -> list[tuple[Fraction, Fraction, tuple, tuple]]:
+    """One (c1, c2, lhs seeds, sum seeds) per recurrence class of d's walks.
+
+    Every LHS term and every summand, folded into the element
+    c*coef*g^i*X_{stride*i+offset} with c = outer_coef and g = outer_ratio*beta,
+    is a walk of some recurrence (c1, c2), so that the sum side is
+    R_n = r*R_{n-1} + S_n with r = outer_ratio and S_n the summand walks at n.
+    Walks of one recurrence are linear in their seeds (y0, y1), so each class,
+    the walks of one exact (c1, c2), adds up the seeds of its LHS terms and,
+    apart, of its summands; a side with no walk in a class has seeds (0, 0).
+    """
     rhs = d.rhs
     g = rhs.outer_ratio * rhs.beta
     folded = (GeometricTerm(rhs.outer_coef * s.coef, g, s.seq, s.stride, s.offset) for s in rhs.summands)
-    return [_recurrence(t) for t in d.lhs], [_recurrence(t) for t in folded]
+    # [c1, c2, lhs seeds, sum seeds] per class, found by a list scan: there are
+    # few classes, and hashing a Fraction costs more than comparing it
+    classes = []
+    for side, terms in ((2, d.lhs), (3, folded)):
+        for t in terms:
+            c1, c2, y0, y1 = _recurrence(t)
+            for cls in classes:
+                if cls[0] == c1 and cls[1] == c2:
+                    break
+            else:
+                cls = [c1, c2, None, None]
+                classes.append(cls)
+            seeds = cls[side]
+            cls[side] = (y0, y1) if seeds is None else (seeds[0] + y0, seeds[1] + y1)
+    zero = (Fraction(0), Fraction(0))
+    return [(c1, c2, lhs or zero, sums or zero) for c1, c2, lhs, sums in classes]
 
 
 def sides(d: IdentityDescriptor, n_lo: int):
     """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
 
-    The sum side is carried in Horner form, R_n = r*R_{n-1} + S_n (see
-    :func:`recurrences`). Like an LHS term's r^n, each summand's g^i lives in
-    its walk, and R_n is the side's own value, so nothing carried outgrows it.
+    One LHS walk and one summand walk per recurrence class of
+    :func:`recurrences`. The sum side is carried in Horner form,
+    R_n = r*R_{n-1} + S_n. Like an LHS term's r^n, each summand's g^i lives in
+    its class's walk, and R_n is the side's own value, so nothing carried
+    outgrows it.
     """
     if n_lo < d.n_min:
         raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
     if n_lo > MAX_INDEX:
         raise ValueError(f"n={n_lo} is beyond the limit of {MAX_INDEX}")
-    lhs_recs, sum_recs = recurrences(d)
-    lhs = [walk(*rec, n_lo) for rec in lhs_recs]
-    summands = [walk(*rec) for rec in sum_recs]
+    classes = recurrences(d)
+    lhs = [walk(c1, c2, *seeds, n_lo) for c1, c2, seeds, _ in classes]
+    summands = [walk(c1, c2, *seeds) for c1, c2, _, seeds in classes]
     r = d.rhs.outer_ratio
     total = Fraction(0)
     for n in count():

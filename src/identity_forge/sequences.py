@@ -17,7 +17,8 @@ of den(c1) and sqrt(den(c2)) when den(c2) is a perfect square, W_m = E*D^m*Y_m
 obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are
 integers, so no step reduces a fraction. Any multiples of that D and E serve
 as well, so a caller may put several walks on one common scale and combine
-their ints directly. Backward,
+their ints directly; :func:`int_walk`, walk's own loop, steps such ints from
+any two seeds. Backward,
 Y_m = X_{-m} is the same kind of sequence, with coefficients (-c1/c2, 1/c2).
 A walk skips at most :data:`MAX_INDEX` steps, which bounds the work that
 untrusted indices can demand.
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
+from operator import mul
 
 from .numeric import ensure_fraction, quote, rat_pow
 
@@ -78,7 +80,7 @@ def scale_of(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction) -> tuple[in
 
 
 def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0, scale=None):
-    """Yield Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
+    """An iterator over Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
 
     Every step runs on the scaled ints W_j = E*D^j*Y_j (see the module
     docstring). Given the caller's scale = (D, E), multiples of
@@ -88,18 +90,23 @@ def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0, sca
     """
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
+    d, e = scale_of(c1, c2, y0, y1) if scale is None else scale
+    lo, hi = y0.numerator * (e // y0.denominator), y1.numerator * (e * d // y1.denominator)
+    ints = int_walk(c1, c2, d, lo, hi, m)
     if scale is None:
-        d, e = scale_of(c1, c2, y0, y1)
-        s = e * d ** m
-        for w in walk(c1, c2, y0, y1, m, (d, e)):
-            yield Fraction(w, s)
-            s *= d
-        return
-    d, e = scale
+        return map(Fraction, ints, accumulate(repeat(d), mul, initial=e * d ** m))
+    return ints
+
+
+def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
+    """Yield W_m, W_{m+1}, ... of W_j = (c1*d)*W_{j-1} + (c2*d^2)*W_{j-2} from
+    the ints (W_0, W_1) = (lo, hi), where c1*d and c2*d^2 are ints.
+
+    This is :func:`walk`'s loop: it steps the ints E*d^j*Y_j of any walk on a
+    scale (d, E). The caller bounds m (walk by MAX_INDEX).
+    """
     a = c1.numerator * (d // c1.denominator)
     b = c2.numerator * (d * d // c2.denominator)
-    lo = y0.numerator * (e // y0.denominator)
-    hi = y1.numerator * (e * d // y1.denominator)
     for _ in range(m):
         lo, hi = hi, a * hi + b * lo
     while True:
@@ -167,21 +174,26 @@ def generalized_v(c1, c2, j: int) -> Fraction:
     return term(generalized_v_def(c1, c2), j)
 
 
-def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
-    """Definition of Y_n = X_{j*n + k}, the every-j-th-term subsequence.
+def stride_recurrence(seq: SequenceDef, j: int, k: int = 0) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(V_j, -(-c2)^j, X_k, X_{j+k}): the coefficients and start values of
+    Y_n = X_{j*n + k}, for j >= 1, with no definition built.
 
-    Y is itself second order with coefficients (V_j, -(-c2)^j), where V_j is
-    the V-sequence value for (c1, c2); its initial values are X_k and X_{j+k},
-    the latter walked j steps on from the window at k.
+    Y is second order because its characteristic roots are the j-th powers of
+    X's: their sum is V_j, the V-sequence value for (c1, c2), and their
+    product (-c2)^j. X_{j+k} is walked j steps on from the window at k.
     """
+    c1, c2 = seq.c1, seq.c2
+    x_k, x_k1 = window(seq, k)
+    if j == 1:  # X itself, from k
+        return c1, c2, x_k, x_k1
+    v_j = next(walk(c1, c2, Fraction(2), c1, j))
+    return v_j, -rat_pow(-c2, j), x_k, next(walk(c1, c2, x_k, x_k1, j))
+
+
+def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
+    """Definition of Y_n = X_{j*n + k}, the every-j-th-term subsequence
+    (see :func:`stride_recurrence`)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    x_k, x_k1 = window(seq, k)
     offset = f"+{k}" if k >= 0 else str(k)
-    return SequenceDef(
-        generalized_v(seq.c1, seq.c2, j),
-        -rat_pow(-seq.c2, j),
-        x_k,
-        next(walk(seq.c1, seq.c2, x_k, x_k1, j)),
-        label=f"{seq.label or 'X'}[{j}n{offset}]",
-    )
+    return SequenceDef(*stride_recurrence(seq, j, k), label=f"{seq.label or 'X'}[{j}n{offset}]")

@@ -4,8 +4,9 @@ Verification decides whether the two sides of a descriptor agree at every
 integer in a range. Each side is C-finite and the sum side is a partial sum,
 so the difference of the sides at n is r times the difference at n-1 plus a
 residual that involves no partial sum; :func:`verify` checks the first
-difference and then the residual at each n, on plain ints (the derivation is
-in its docstring). A single exact counterexample falsifies an identity, so a
+difference and then the residual at each n. The residual of each recurrence
+class obeys that class's recurrence, so it is stepped as one walk on plain
+ints (the derivation is in its docstring). A single exact counterexample falsifies an identity, so a
 failed sweep stops at the first witness, whose exact sides it reads from
 :func:`engine.descriptor_eval`.
 
@@ -22,6 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .catalog import all_entries
@@ -35,7 +37,7 @@ from .engine import (
     theorem2_descriptor,
 )
 from .numeric import format_rational
-from .sequences import MAX_INDEX, SequenceDef, scale_of, walk
+from .sequences import MAX_INDEX, SequenceDef, int_walk, scale_of, walk
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,17 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
     So Delta is 0 on [n_lo, n_hi] exactly when Delta_{n_lo} = 0 and rho is 0
     on (n_lo, n_hi], and the first n with Delta_n != 0 is the first n with
     rho_n != 0; the witness there is read from :func:`engine.descriptor_eval`.
-    rho needs no running sum: every LHS and summand walk runs on one scale
-    E*D^n (D and E the lcms of the walks' own), where L~_n = E*D^n*L_n and
-    S~_n = E*D^n*S_n are ints, so rho_n = 0 is the int equation
-    den(r)*(L~_n - S~_n) = num(r)*D*L~_{n-1}. At n_lo = 0, Delta_0 = L_0 - S_0
-    is the same test with L~_{-1} = 0; at n_lo > 0 it is one descriptor_eval.
+
+    rho is the sum over recurrence classes G of rho^G_n = L^G_n -
+    r*L^G_{n-1} - S^G_n, each a combination of walks of G's recurrence, so
+    rho^G obeys that recurrence itself for n >= n_lo + 3 and is stepped as one
+    int walk per class: one int step per class and one zero test per n, with
+    no running sum and no Fraction. All walks run on one scale E*D^n (D and E
+    the lcms of the classes' own), where L~_n = E*D^n*L^G_n and S~_n are ints
+    and the seeds den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1}
+    at n_lo + 1 and n_lo + 2 come from the first three ints of G's walks.
+    At n_lo = 0, Delta_0 = L_0 - S_0 is the sum over G of L~_0 - S~_0 from the
+    same ints; at n_lo > 0 it is one descriptor_eval.
 
     The walks step n up to n_hi and are seeded at X_offset, so a range whose
     n_hi or any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is
@@ -107,24 +115,26 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
         elapsed = time.perf_counter() - start
         return VerificationReport(d.id, n_lo, n_hi, status, None, first_failure, elapsed)
 
-    lhs_recs, sum_recs = recurrences(d)
-    scales = [scale_of(*rec) for rec in lhs_recs + sum_recs]
-    scale = lcm(*(s for s, _ in scales)), lcm(*(e for _, e in scales))
-    r = d.rhs.outer_ratio
-    p, q = r.numerator * scale[0], r.denominator
-    lhs = [walk(*rec, n_lo, scale) for rec in lhs_recs]
-    first, prev = n_lo, 0
     if n_lo > 0:
         lhs_val, rhs_val = descriptor_eval(d, n_lo)
         if lhs_val != rhs_val:
             return report((n_lo, lhs_val, rhs_val))
-        first, prev = n_lo + 1, sum(map(next, lhs))
-    summands = [walk(*rec, first, scale) for rec in sum_recs]
-    for n in range(first, n_hi + 1):
-        cur = sum(map(next, lhs))
-        if q * (cur - sum(map(next, summands))) != p * prev:
+    classes = recurrences(d)
+    scales = [scale_of(c1, c2, *seeds) for c1, c2, *both in classes for seeds in both]
+    scale = lcm(*(s for s, _ in scales)), lcm(*(e for _, e in scales))
+    r = d.rhs.outer_ratio
+    p, q = r.numerator * scale[0], r.denominator
+    delta, residuals = 0, []
+    for c1, c2, lhs_seeds, sum_seeds in classes:
+        l0, l1, l2 = islice(walk(c1, c2, *lhs_seeds, n_lo, scale), 3)
+        s0, s1, s2 = islice(walk(c1, c2, *sum_seeds, n_lo, scale), 3)
+        delta += l0 - s0
+        residuals.append(int_walk(c1, c2, scale[0], q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
+    if n_lo == 0 and delta:
+        return report((0, *descriptor_eval(d, 0)))
+    for n, rho in zip(range(n_lo + 1, n_hi + 1), map(sum, zip(*residuals))):
+        if rho:
             return report((n, *descriptor_eval(d, n)))
-        prev = cur
     return report()
 
 

@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,21 @@ from identity_forge.serialize import from_json, to_json
 from identity_forge.verifier import verify
 
 from oracles import brute_term
+
+
+class ThreadStreams(io.TextIOBase):
+    """A text stream that keeps each thread's writes apart."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, text):
+        self._local.__dict__.setdefault("chunks", []).append(text)
+        return len(text)
+
+    def take(self):
+        """What the calling thread wrote since its last take()."""
+        return "".join(self._local.__dict__.pop("chunks", []))
 
 
 def run(capsys, *argv):
@@ -226,6 +244,34 @@ class TestDigitBound:
             assert out.strip() == str(expected)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_overlapping_calls_in_threads(self, monkeypatch):
+        # each call prints about 6,700 digits; one thread's restore must not
+        # refuse another's output, and the last call out restores the limit
+        argv = ["seq-eval", "--family", "a015530", "--n", "14003"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{brute_term(4, 3, 0, 1, 14003)}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = ThreadStreams(), ThreadStreams()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+
+        def calls():
+            return [(cli.main(argv), out.take(), err.take()) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(calls) for _ in range(4)]
+                results = [r for f in futures for r in f.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [(0, expected, "")] * 20
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("field", ["coef", "stride"])
     def test_literal_past_bound_rejected(self, capsys, tmp_path, field):

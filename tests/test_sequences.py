@@ -226,6 +226,10 @@ class TestGeneralizedV:
         with pytest.raises(ValueError):
             generalized_v(1, 1, -1)
 
+    def test_c2_zero_rejected(self):
+        with pytest.raises(ValueError, match="c2 must be nonzero"):
+            generalized_v(1, 0, 2)
+
 
 class TestSubsequence:
     def test_fibonacci_three_step(self):
@@ -243,6 +247,11 @@ class TestSubsequence:
     def test_j_zero_rejected(self):
         with pytest.raises(ValueError):
             subsequence_def(FIBONACCI, 0, 0)
+
+    def test_labels(self):
+        assert subsequence_def(FIBONACCI, 3, 0).label == "Fibonacci[3n+0]"
+        assert subsequence_def(BRONZE, 1, -2).label == "bronze[1n-2]"
+        assert subsequence_def(SequenceDef(1, 2, 0, 1), 2, 5).label == "X[2n+5]"
 
     def test_subsequence_matches_strided_terms_seeded(self):
         rng = random.Random(23)

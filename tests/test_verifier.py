@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from identity_forge.catalog import all_entries, entry
-from identity_forge.engine import descriptor_eval, sides, theorem1_descriptor, theorem2_descriptor
+from identity_forge.engine import descriptor_eval, recurrences, sides, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
 from identity_forge.sequences import A015530, FIBONACCI, LUCAS, SequenceDef, term
@@ -166,8 +166,64 @@ def assert_matches_reference(d, n_lo, n_hi):
     return report
 
 
+def geometric_ones():
+    """sum_{i<=n} 2^i = 2^{n+1} - 1 in three recurrence classes, padded with
+    two LHS Fibonacci terms that cancel exactly: the classes of 2^{n+1} and of
+    -1 are the LHS's alone, that of the summand 2^i * 1 the sum side's alone."""
+    ones = SequenceDef(2, -1, 1, 1)
+    return IdentityDescriptor(
+        "geometric-ones",
+        lhs=(
+            GeometricTerm(3, 1, FIBONACCI, 1, 2),
+            GeometricTerm(2, 2),
+            GeometricTerm(-1, 1),
+            GeometricTerm(-3, 1, FIBONACCI, 1, 2),
+        ),
+        rhs=SumSide(1, 1, 2, (Summand(1, ones, 1, 0),)),
+    )
+
+
+def horner_inputs():
+    far = theorem2_descriptor(A015530, 2000)
+    return (
+        rewrite_scale(entry("eq4").descriptor, 3, Fraction(2, 3)),
+        ZERO_RATIO,
+        replace(far, rhs=replace(far.rhs, outer_coef=far.rhs.outer_coef + 1)),
+        entry("eq2").descriptor,
+        entry("eq8b", j=3).descriptor,
+        entry("eq33", j=2).descriptor,
+        rewrite_scale(entry("eq8b", j=3).descriptor, 1, Fraction(-4, 3)),
+        MIXED,
+    )
+
+
 class TestResidualSweep:
     """verify's residual check against the first n where brute_sides differ."""
+
+    def test_classes_that_cancel_or_belong_to_one_side(self):
+        d = geometric_ones()
+        classes = recurrences(d)
+        assert len(classes) == 4
+        fib = [seeds for c1, c2, seeds, _ in classes if (c1, c2) == (1, 1)]
+        assert fib == [(0, 0)]  # the two Fibonacci terms cancel in their seeds
+        for m in (d, *coefficient_mutants(d)):
+            for n_lo in (0, 1, 3):
+                for n_hi in (n_lo, n_lo + 1, n_lo + 2, n_lo + 8):
+                    assert_matches_reference(m, n_lo, n_hi)
+        assert verify(d, 0, 64).passed
+
+    @pytest.mark.parametrize("n_lo", [0, 5, 17])
+    def test_range_ends_before_the_residual_seeds(self, n_lo):
+        # the residual walk is seeded at n_lo + 1 and n_lo + 2, past n_hi here
+        for d in (*horner_inputs(), eq4_ones(), geometric_ones()):
+            for n_hi in (n_lo, n_lo + 1, n_lo + 2):
+                assert_matches_reference(d, n_lo, n_hi)
+
+    def test_class_counts(self):
+        for x, k in ((A015530, 2000), (RATIONAL, -1500), (FIBONACCI, 2), (LUCAS, -3)):
+            assert len(recurrences(theorem2_descriptor(x, k))) == 1
+        assert len(recurrences(theorem1_descriptor(SequenceDef(3, 2, 1, 1)))) == 1
+        assert sum(len(recurrences(e.descriptor)) for e in all_entries()) == 161
 
     def test_catalog_coefficient_mutants(self):
         past_lo = 0
@@ -186,21 +242,10 @@ class TestResidualSweep:
 
     @pytest.mark.parametrize("n_lo", [0, 5, 17])
     def test_horner_inputs_from_any_start(self, n_lo):
-        far = theorem2_descriptor(A015530, 2000)
-        near = (
-            rewrite_scale(entry("eq4").descriptor, 3, Fraction(2, 3)),
-            ZERO_RATIO,
-            replace(far, rhs=replace(far.rhs, outer_coef=far.rhs.outer_coef + 1)),
-            entry("eq2").descriptor,
-            entry("eq8b", j=3).descriptor,
-            entry("eq33", j=2).descriptor,
-            rewrite_scale(entry("eq8b", j=3).descriptor, 1, Fraction(-4, 3)),
-            MIXED,
-        )
-        for d in near:
+        for d in horner_inputs():
             assert_matches_reference(d, n_lo, n_lo + 4)
         # the brute sums walk about 2000 steps per i here, so one residual step
-        for d in (far, theorem2_descriptor(RATIONAL, -1500)):
+        for d in (theorem2_descriptor(A015530, 2000), theorem2_descriptor(RATIONAL, -1500)):
             assert_matches_reference(d, n_lo, n_lo + 1)
 
 
