@@ -9,19 +9,20 @@ with negative indices reached through the inverted step
 X_{n-2} = (X_n - c1*X_{n-1}) / c2, which is well defined because c2 != 0.
 Definitions are immutable values with no cache, so callers share no state.
 
-One kernel, :func:`walk`, steps every second-order recurrence in the package:
-single terms, subsequence seeds, the side stream of :mod:`engine` and the
-residual sweep of :mod:`verifier`. It runs on plain ints: with E the lcm of
-the denominators of the start values and D the lcm of den(c1) and den(c2), or
-of den(c1) and sqrt(den(c2)) when den(c2) is a perfect square, W_m = E*D^m*Y_m
-obeys W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are
-integers, so no step reduces a fraction. Any multiples of that D and E serve
-as well, so a caller may put several walks on one common scale and combine
-their ints directly; :func:`int_walk`, walk's own loop, steps such ints from
-any two seeds. Backward,
-Y_m = X_{-m} is the same kind of sequence, with coefficients (-c1/c2, 1/c2).
-A walk skips at most :data:`MAX_INDEX` steps, which bounds the work that
-untrusted indices can demand.
+One kernel, :func:`int_walk`, steps every second-order recurrence in the
+package: single terms and windows (:func:`int_window`), subsequence seeds,
+the recurrence classes of :mod:`engine` and the residual sweep of
+:mod:`verifier`. It runs on plain ints: with E the lcm of the denominators of
+the start values and D the lcm of den(c1) and den(c2), or of den(c1) and
+sqrt(den(c2)) when den(c2) is a perfect square, W_m = E*D^m*Y_m obeys
+W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are integers, so
+no step reduces a fraction. Any multiples of that D and E serve as well, so a
+caller may put several walks on one common scale and combine their ints
+directly. :func:`int_window` gives a window as such ints with their
+denominators E*D^m, and :func:`window`, :func:`term` and :func:`walk` read
+fractions off them. Backward, Y_m = X_{-m} is the same kind of sequence, with
+coefficients (-c1/c2, 1/c2). A walk skips at most :data:`MAX_INDEX` steps,
+which bounds the work that untrusted indices can demand.
 """
 
 from __future__ import annotations
@@ -72,38 +73,41 @@ _PLAIN_FAMILIES = {
 MAX_INDEX = 100_000
 
 
-def scale_of(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction) -> tuple[int, int]:
-    """The least scale (D, E) on which a walk from these runs on ints (module docstring)."""
+def step_scale(c1: Fraction, c2: Fraction) -> int:
+    """The least D for which c1*D and c2*D^2 are ints (module docstring)."""
     q = c2.denominator
     root = isqrt(q)
-    return lcm(c1.denominator, root if root * root == q else q), lcm(y0.denominator, y1.denominator)
+    return lcm(c1.denominator, root if root * root == q else q)
 
 
-def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0, scale=None):
-    """An iterator over Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
-
-    Every step runs on the scaled ints W_j = E*D^j*Y_j (see the module
-    docstring). Given the caller's scale = (D, E), multiples of
-    :func:`scale_of`'s D and E, the walk yields those ints; without it, the
-    fractions Y_j, read off the ints of its own scale. c2 may be 0: (r, 0)
-    from (z, z*r) is the geometric z*r^j.
-    """
+def _scaled_ints(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int):
+    """(D, E, ints): the least scale of a walk from (y0, y1) and its ints from
+    W_m on (:func:`int_walk`), refusing a skip of m past MAX_INDEX."""
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
-    d, e = scale_of(c1, c2, y0, y1) if scale is None else scale
+    d, e = step_scale(c1, c2), lcm(y0.denominator, y1.denominator)
     lo, hi = y0.numerator * (e // y0.denominator), y1.numerator * (e * d // y1.denominator)
-    ints = int_walk(c1, c2, d, lo, hi, m)
-    if scale is None:
-        return map(Fraction, ints, accumulate(repeat(d), mul, initial=e * d ** m))
-    return ints
+    return d, e, int_walk(c1, c2, d, lo, hi, m)
+
+
+def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
+    """An iterator over Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
+
+    Every step runs on the scaled ints W_j = E*D^j*Y_j of the least scale
+    (see the module docstring); the fractions Y_j are read off them. c2 may
+    be 0: (r, 0) from (z, z*r) is the geometric z*r^j.
+    """
+    d, e, ints = _scaled_ints(c1, c2, y0, y1, m)
+    return map(Fraction, ints, accumulate(repeat(d), mul, initial=e * d ** m))
 
 
 def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
     """Yield W_m, W_{m+1}, ... of W_j = (c1*d)*W_{j-1} + (c2*d^2)*W_{j-2} from
     the ints (W_0, W_1) = (lo, hi), where c1*d and c2*d^2 are ints.
 
-    This is :func:`walk`'s loop: it steps the ints E*d^j*Y_j of any walk on a
-    scale (d, E). The caller bounds m (walk by MAX_INDEX).
+    This is the package's one recurrence loop: it steps the ints E*d^j*Y_j of
+    any walk on a scale (d, E). The caller bounds m (:func:`walk` and
+    :func:`int_window` by MAX_INDEX).
     """
     a = c1.numerator * (d // c1.denominator)
     b = c2.numerator * (d * d // c2.denominator)
@@ -114,22 +118,35 @@ def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
         lo, hi = hi, a * hi + b * lo
 
 
-def window(seq: SequenceDef, n: int) -> tuple[Fraction, Fraction]:
-    """(X_n, X_{n+1}) at any integer index: the first two values of a walk.
+def int_window(seq: SequenceDef, n: int) -> tuple[int, int, int, int]:
+    """(u, v, p, q) with X_n = u/p and X_{n+1} = v/q at any integer index,
+    with no fraction built: the first two ints of a walk on its own scale
+    (D, E), whose denominators are E*D^m and E*D^(m+1), not reduced.
 
     For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and start
-    (X_0, X_{-1}), from m = -n-1 and swaps the pair.
+    (X_0, X_{-1}), from m = -n-1 and swaps the pair. Like :func:`walk`, it
+    skips at most MAX_INDEX steps.
     """
     c1, c2, x0, x1 = seq.c1, seq.c2, seq.x0, seq.x1
-    if n >= 0:
-        return tuple(islice(walk(c1, c2, x0, x1, n), 2))
-    y_hi, y_lo = islice(walk(-c1 / c2, 1 / c2, x0, (x1 - c1 * x0) / c2, -n - 1), 2)
-    return y_lo, y_hi
+    m = n
+    if n < 0:
+        c1, c2, x1, m = -c1 / c2, 1 / c2, (x1 - c1 * x0) / c2, -n - 1
+    d, e, ints = _scaled_ints(c1, c2, x0, x1, m)
+    lo, hi = next(ints), next(ints)
+    den = e * d ** m
+    return (lo, hi, den, den * d) if n >= 0 else (hi, lo, den * d, den)
+
+
+def window(seq: SequenceDef, n: int) -> tuple[Fraction, Fraction]:
+    """(X_n, X_{n+1}) at any integer index: the fractions of :func:`int_window`."""
+    u, v, p, q = int_window(seq, n)
+    return Fraction(u, p), Fraction(v, q)
 
 
 def term(seq: SequenceDef, n: int) -> Fraction:
     """Value of the sequence at any integer index, forward or backward."""
-    return window(seq, n)[0]
+    u, _, p, _ = int_window(seq, n)
+    return Fraction(u, p)
 
 
 def generalized_u(a, b, label: str = "") -> SequenceDef:

@@ -6,9 +6,11 @@ so the difference of the sides at n is r times the difference at n-1 plus a
 residual that involves no partial sum; :func:`verify` checks the first
 difference and then the residual at each n. The residual of each recurrence
 class obeys that class's recurrence, so it is stepped as one walk on plain
-ints (the derivation is in its docstring). A single exact counterexample falsifies an identity, so a
-failed sweep stops at the first witness, whose exact sides it reads from
-:func:`engine.descriptor_eval`.
+ints (the derivation is in its docstring); the classes come from
+:func:`engine.recurrences` on one integer scale, built once per call. A
+single exact counterexample falsifies an identity, so a failed sweep stops at
+the first witness, whose exact sides it reads from :func:`engine.sides` on
+the same classes.
 
 The fuzzers draw random sequence definitions from a small rational pool,
 apply a generator from :mod:`identity_forge.engine`, and verify the result;
@@ -21,23 +23,29 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 
 from .catalog import all_entries
 from .engine import (
     DegenerateRatioError,
     IdentityDescriptor,
     OffsetInvalidError,
-    descriptor_eval,
     recurrences,
+    sides,
     theorem1_descriptor,
     theorem2_descriptor,
 )
 from .numeric import format_rational
-from .sequences import MAX_INDEX, SequenceDef, int_walk, scale_of, walk
+from .sequences import MAX_INDEX, SequenceDef, int_walk
+
+
+# the most that the reaches of one descriptor's terms may add up to (see
+# verify); a theorem1/theorem2 descriptor, whose three terms each reach at
+# most MAX_INDEX when n_hi > 0, stays within it on any range that passes the
+# MAX_INDEX check
+MAX_TOTAL_REACH = 3 * MAX_INDEX
 
 
 @dataclass(frozen=True)
@@ -81,22 +89,28 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
 
     So Delta is 0 on [n_lo, n_hi] exactly when Delta_{n_lo} = 0 and rho is 0
     on (n_lo, n_hi], and the first n with Delta_n != 0 is the first n with
-    rho_n != 0; the witness there is read from :func:`engine.descriptor_eval`.
+    rho_n != 0; the witness there is read from :func:`engine.sides`.
 
     rho is the sum over recurrence classes G of rho^G_n = L^G_n -
     r*L^G_{n-1} - S^G_n, each a combination of walks of G's recurrence, so
     rho^G obeys that recurrence itself for n >= n_lo + 3 and is stepped as one
     int walk per class: one int step per class and one zero test per n, with
-    no running sum and no Fraction. All walks run on one scale E*D^n (D and E
-    the lcms of the classes' own), where L~_n = E*D^n*L^G_n and S~_n are ints
-    and the seeds den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1}
-    at n_lo + 1 and n_lo + 2 come from the first three ints of G's walks.
-    At n_lo = 0, Delta_0 = L_0 - S_0 is the sum over G of L~_0 - S~_0 from the
-    same ints; at n_lo > 0 it is one descriptor_eval.
+    no running sum and no Fraction. :func:`engine.recurrences` gives every
+    class's seeds as ints on one scale (D, E), so L~_n = E*D^n*L^G_n and S~_n
+    are ints of G's walks and the seeds
+    den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1} at
+    n_lo + 1 and n_lo + 2 come from their first three ints. At n_lo = 0,
+    Delta_0 = L_0 - S_0 is the sum over G of L~_0 - S~_0 from the same ints;
+    at n_lo > 0 it is the first item of :func:`engine.sides`. The classes are
+    built once and serve the sweep, Delta_{n_lo} and the witness.
 
     The walks step n up to n_hi and are seeded at X_offset, so a range whose
     n_hi or any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is
-    rejected before anything is walked.
+    rejected before anything is walked. So is one whose terms' reaches add
+    up past MAX_TOTAL_REACH, a term's reach being the largest of n_hi, the
+    |index| of its seeds X_offset and X_{offset+stride} and |stride*n_hi +
+    offset|: a term's walks step no further than that, so their sum bounds
+    the work of the descriptor's set-up and sweep together.
     """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
@@ -108,33 +122,43 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
         raise ValueError(
             f"range [{n_lo}, {n_hi}] reaches index {reach}, beyond the limit of {MAX_INDEX}"
         )
+    total = sum(
+        max(n_hi, abs(t.offset), abs(t.stride + t.offset), abs(t.stride * n_hi + t.offset)) for t in terms
+    )
+    if total > MAX_TOTAL_REACH:
+        raise ValueError(
+            f"range [{n_lo}, {n_hi}] has its {len(terms)} terms reach {total} indices in all, "
+            f"beyond the limit of {MAX_TOTAL_REACH}"
+        )
     start = time.perf_counter()
+    rec = recurrences(d)
 
     def report(first_failure=None):
         status = "pass" if first_failure is None else "fail"
         elapsed = time.perf_counter() - start
         return VerificationReport(d.id, n_lo, n_hi, status, None, first_failure, elapsed)
 
+    def witness(n):
+        return next(sides(d, n, rec))  # (n, lhs, rhs)
+
     if n_lo > 0:
-        lhs_val, rhs_val = descriptor_eval(d, n_lo)
-        if lhs_val != rhs_val:
-            return report((n_lo, lhs_val, rhs_val))
-    classes = recurrences(d)
-    scales = [scale_of(c1, c2, *seeds) for c1, c2, *both in classes for seeds in both]
-    scale = lcm(*(s for s, _ in scales)), lcm(*(e for _, e in scales))
+        first = witness(n_lo)
+        if first[1] != first[2]:
+            return report(first)
+    scale, _, classes = rec
     r = d.rhs.outer_ratio
-    p, q = r.numerator * scale[0], r.denominator
+    p, q = r.numerator * scale, r.denominator
     delta, residuals = 0, []
     for c1, c2, lhs_seeds, sum_seeds in classes:
-        l0, l1, l2 = islice(walk(c1, c2, *lhs_seeds, n_lo, scale), 3)
-        s0, s1, s2 = islice(walk(c1, c2, *sum_seeds, n_lo, scale), 3)
+        l0, l1, l2 = islice(int_walk(c1, c2, scale, *lhs_seeds, n_lo), 3)
+        s0, s1, s2 = islice(int_walk(c1, c2, scale, *sum_seeds, n_lo), 3)
         delta += l0 - s0
-        residuals.append(int_walk(c1, c2, scale[0], q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
+        residuals.append(int_walk(c1, c2, scale, q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
     if n_lo == 0 and delta:
-        return report((0, *descriptor_eval(d, 0)))
+        return report(witness(0))
     for n, rho in zip(range(n_lo + 1, n_hi + 1), map(sum, zip(*residuals))):
         if rho:
-            return report((n, *descriptor_eval(d, n)))
+            return report(witness(n))
     return report()
 
 
@@ -210,7 +234,10 @@ def _fuzz(cfg: FuzzConfig, instances, generator, skip) -> list[VerificationRepor
                 VerificationReport(label, n_lo, n_hi, "skipped", reason=str(exc))
             )
             continue
-        reports.append(replace(verify(d, n_lo, n_hi), id=label))
+        report = verify(d, n_lo, n_hi)
+        reports.append(
+            VerificationReport(label, n_lo, n_hi, report.status, None, report.first_failure, report.elapsed)
+        )
     return reports
 
 

@@ -43,6 +43,30 @@ def brute_sides(d, n):
     return lhs, d.rhs.outer_coef * d.rhs.outer_ratio ** n * total
 
 
+def brute_class_sides(d, m):
+    """{(c1, c2): [L, S]}: the LHS terms' and the summand elements' values at
+    m, each element coef * r^m * X_{stride*m + offset} (a summand's with coef
+    times outer_coef and r = outer_ratio*beta) added into the class of the
+    recurrence it obeys: (V_s*r, -(-c2)^s*r^2) for stride s >= 1, with V_s
+    the V-sequence value of its (c1, c2), and (r, 0) with no sequence or
+    stride 0."""
+    rhs = d.rhs
+    elements = [(0, t.coef, t.ratio, t) for t in d.lhs]
+    elements += [(1, rhs.outer_coef * s.coef, rhs.outer_ratio * rhs.beta, s) for s in rhs.summands]
+    classes = {}
+    for side, coef, r, t in elements:
+        value = coef * r ** m
+        if t.seq is None or t.stride == 0:
+            key = (r, Fraction(0))
+        else:
+            c1, c2 = t.seq.c1, t.seq.c2
+            key = (brute_term(c1, c2, 2, c1, t.stride) * r, -((-c2) ** t.stride) * r * r)
+        if t.seq is not None:
+            value *= brute_term(t.seq.c1, t.seq.c2, t.seq.x0, t.seq.x1, t.stride * m + t.offset)
+        classes.setdefault(key, [Fraction(0), Fraction(0)])[side] += value
+    return classes
+
+
 def brute_first_failure(d, n_lo, n_hi):
     """(n, lhs, rhs) at the first n in [n_lo, n_hi] where brute_sides differ,
     or None when they agree on the whole range."""

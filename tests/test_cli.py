@@ -227,6 +227,20 @@ class TestIndexCap:
             "--n-min", "1000000000", "--n-max", "1000000032",
         )
 
+    def test_terms_reach_too_far_together(self, capsys, tmp_path):
+        # each stride-0 term's walk is within MAX_INDEX, but with no bound on
+        # their sum four of them took 11 to 16 s to set up on a 2-vCPU VM
+        far = GeometricTerm(1, 1, named_def("a015530"), 0, 100_000)
+        d = IdentityDescriptor("far-sum", (far,) * 4, SumSide(1, 1, 1, (Summand(1, FIBONACCI, 0, 0),)))
+        path = tmp_path / "far.json"
+        path.write_text(to_json(d))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--json", str(path), "--n-max", "0")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert "reach 400000 indices in all, beyond the limit of 300000" in err
+
 
 class TestDigitBound:
     """main lifts CPython's 4300-digit int<->str bound to cli.MAX_DIGITS, no further."""
@@ -641,6 +655,8 @@ _CUSTOM = ("--c1", "1/2", "--c2=-1/3", "--x0", "1", "--x1", "2")
 GOLDEN_CASES = {
     "catalog_verify_all": ("catalog", "verify-all", "--n-max", "64"),
     "fuzz_both": ("fuzz", "--seed", "1", "--count", "200", "--theorem", "both"),
+    "fuzz_both_seed2": ("fuzz", "--seed", "2", "--count", "1000", "--theorem", "both"),
+    "fuzz_both_seed3": ("fuzz", "--seed", "3", "--count", "1000", "--theorem", "both"),
     "generate_json": ("generate", *_CUSTOM, "--k", "-40", "--json"),
     # generate_json's document with outer_coef's numerator raised by one
     "verify_corrupt": ("verify", "--json", str(GOLDEN / "theorem2_k-40_corrupt.json")),

@@ -20,6 +20,7 @@ from identity_forge.engine import (
 )
 from identity_forge.numeric import Mat2, companion, mat2_det, mat2_mul, mat2_pow, rat_pow
 from identity_forge.sequences import (
+    A015530,
     BRONZE,
     FIBONACCI,
     LUCAS,
@@ -130,6 +131,27 @@ class TestTheorem2:
                 instances += 1
                 assert verify(d, 0, 32).passed
         assert instances >= 500
+
+    @pytest.mark.parametrize("k", [14003, -14003])
+    def test_far_weight_and_outer_coefficient(self, k):
+        # t = -c2*X_{k-1}/X_k and (X_0*X_2 - X_1^2)/X_k from brute_term; a
+        # backward brute walk reduces a 3^m denominator at every step (about
+        # 8 s per value on a 2-vCPU VM), so X_{-m} comes from the forward X_m by
+        # X_{-m} = -(-3)^(-m) * X_m, which holds for A015530 = U(4, 3) and is
+        # checked against the backward walk at a few m up to 300 first
+        x = A015530
+
+        def x_at(j):
+            if j >= 0:
+                return brute_term(x.c1, x.c2, x.x0, x.x1, j)
+            return -Fraction(-3) ** j * brute_term(x.c1, x.c2, x.x0, x.x1, -j)
+
+        assert all(x_at(-m) == brute_term(x.c1, x.c2, x.x0, x.x1, -m) for m in (1, 2, 3, 299, 300))
+        xk1, xk, x2 = x_at(k - 1), x_at(k), x_at(2)
+        rhs = theorem2_descriptor(x, k).rhs
+        assert rhs.outer_ratio == -x.c2 * xk1 / xk
+        assert rhs.beta == 1 / rhs.outer_ratio
+        assert rhs.outer_coef == (x.x0 * x2 - x.x1 * x.x1) / xk
 
 
 class TestProductIdentities:

@@ -8,9 +8,11 @@ from identity_forge.catalog import all_entries, entry
 from identity_forge.engine import descriptor_eval, recurrences, sides, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
-from identity_forge.sequences import A015530, FIBONACCI, LUCAS, SequenceDef, term
+from identity_forge import engine, verifier
+from identity_forge.sequences import A015530, FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, term
 from identity_forge.verifier import (
     DEFAULT_POOL,
+    MAX_TOTAL_REACH,
     FuzzConfig,
     VerificationReport,
     fuzz_theorem1,
@@ -22,7 +24,7 @@ from identity_forge.verifier import (
     verify_catalog,
 )
 
-from oracles import brute_first_failure, brute_sides
+from oracles import brute_class_sides, brute_first_failure, brute_sides
 
 
 RATIONAL = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
@@ -202,7 +204,7 @@ class TestResidualSweep:
 
     def test_classes_that_cancel_or_belong_to_one_side(self):
         d = geometric_ones()
-        classes = recurrences(d)
+        _, _, classes = recurrences(d)
         assert len(classes) == 4
         fib = [seeds for c1, c2, seeds, _ in classes if (c1, c2) == (1, 1)]
         assert fib == [(0, 0)]  # the two Fibonacci terms cancel in their seeds
@@ -221,9 +223,9 @@ class TestResidualSweep:
 
     def test_class_counts(self):
         for x, k in ((A015530, 2000), (RATIONAL, -1500), (FIBONACCI, 2), (LUCAS, -3)):
-            assert len(recurrences(theorem2_descriptor(x, k))) == 1
-        assert len(recurrences(theorem1_descriptor(SequenceDef(3, 2, 1, 1)))) == 1
-        assert sum(len(recurrences(e.descriptor)) for e in all_entries()) == 161
+            assert len(recurrences(theorem2_descriptor(x, k))[2]) == 1
+        assert len(recurrences(theorem1_descriptor(SequenceDef(3, 2, 1, 1)))[2]) == 1
+        assert sum(len(recurrences(e.descriptor)[2]) for e in all_entries()) == 161
 
     def test_catalog_coefficient_mutants(self):
         past_lo = 0
@@ -247,6 +249,116 @@ class TestResidualSweep:
         # the brute sums walk about 2000 steps per i here, so one residual step
         for d in (theorem2_descriptor(A015530, 2000), theorem2_descriptor(RATIONAL, -1500)):
             assert_matches_reference(d, n_lo, n_lo + 1)
+
+
+def fuzz_descriptors(seed):
+    """Every descriptor that fuzz --seed SEED --count 1000 --theorem both verifies."""
+    cfg = FuzzConfig(seed=seed, instance_count=1000)
+    for _, x, k in theorem2_instances(cfg):
+        try:
+            yield theorem2_descriptor(x, k)
+        except OffsetInvalidError:
+            pass
+    for _, a in theorem1_instances(cfg):
+        try:
+            yield theorem1_descriptor(a)
+        except DegenerateRatioError:
+            pass
+
+
+def class_sides(d, m):
+    """{(c1, c2): [L, S]} at m, read off the int seeds of recurrences(d)."""
+    scale, e, classes = recurrences(d)
+    values = {
+        (c1, c2): [Fraction(next(int_walk(c1, c2, scale, *seeds, m)), e * scale ** m) for seeds in (lhs, sums)]
+        for c1, c2, lhs, sums in classes
+    }
+    assert len(values) == len(classes)  # no recurrence is split over two classes
+    return values
+
+
+class TestClassSetUp:
+    """recurrences' int seeds against brute element values, class by class."""
+
+    def assert_classes_match(self, d, n_lo):
+        for m in (n_lo, n_lo + 1, n_lo + 2):
+            assert class_sides(d, m) == brute_class_sides(d, m), (d.id, m)
+
+    def test_catalog_and_coefficient_mutants(self):
+        count = 0
+        for e in all_entries():
+            for d in (e.descriptor, *coefficient_mutants(e.descriptor)):
+                for n_lo in (d.n_min, d.n_min + 5):
+                    self.assert_classes_match(d, n_lo)
+                count += 1
+        assert count == 574
+
+    def test_hand_built_descriptors(self):
+        for d in (*horner_inputs(), eq4_ones(), geometric_ones(), MIXED):
+            self.assert_classes_match(d, 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fuzz_stream(self, seed):
+        for d in fuzz_descriptors(seed):
+            self.assert_classes_match(d, 0)
+
+    def test_far_theorem2(self):
+        for x, k in ((A015530, 2000), (RATIONAL, -1500)):
+            self.assert_classes_match(theorem2_descriptor(x, k), 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_theorem1_is_theorem2_at_zero(self, seed):
+        for _, a in theorem1_instances(FuzzConfig(seed=seed, instance_count=1000)):
+            try:
+                d = theorem1_descriptor(a)
+            except DegenerateRatioError:
+                with pytest.raises(OffsetInvalidError):
+                    theorem2_descriptor(a, 0)
+                continue
+            assert d == replace(
+                theorem2_descriptor(a, 0),
+                id=f"theorem1[{a.label}]",
+                citation="generated: normalized-sequence weighted sum",
+            )
+
+    @pytest.mark.parametrize("d, n_lo", [
+        (entry("eq12", j=2).descriptor, 5),  # passes
+        (eq4_ones(), 5),  # fails at n_lo
+        (eq4_ones(), 1),  # fails past n_lo, in the residual sweep
+    ])
+    def test_classes_built_once(self, monkeypatch, d, n_lo):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return recurrences(d)
+
+        monkeypatch.setattr(engine, "recurrences", counted)
+        monkeypatch.setattr(verifier, "recurrences", counted)
+        verify(d, n_lo, 40)
+        assert len(calls) == 1
+
+
+class TestTotalReach:
+    """The reaches of a descriptor's terms add up to at most MAX_TOTAL_REACH."""
+
+    def test_limit_is_inclusive(self):
+        # 2 + 1 = 3*1 with beta = 0: three terms, each of reach n_hi, whose
+        # walks stay small however far they step
+        d = IdentityDescriptor(
+            "threes", (GeometricTerm(1, 1), GeometricTerm(2, 1)), SumSide(3, 1, 0, (Summand(1, FIBONACCI, 0, 1),))
+        )
+        assert MAX_TOTAL_REACH == 3 * MAX_INDEX
+        assert verify(d, 0, MAX_INDEX).passed
+        more = replace(d, lhs=(*d.lhs, GeometricTerm(0, 1)))
+        with pytest.raises(ValueError, match="4 terms reach 400000 indices in all, beyond the limit of 300000"):
+            verify(more, 0, MAX_INDEX)
+
+    @pytest.mark.parametrize("k, n_hi", [(0, MAX_INDEX - 2), (MAX_INDEX, 0), (-MAX_INDEX, 0), (-50_000, 50_000)])
+    def test_theorem2_on_its_widest_ranges(self, k, n_hi):
+        # X_n = X_{n-2}: every value is 1, so the far walks cost little
+        d = theorem2_descriptor(SequenceDef(0, 1, 1, 1), k)
+        assert verify(d, 0, n_hi).passed
 
 
 class TestVerifyCatalog:
