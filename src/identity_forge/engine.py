@@ -11,14 +11,15 @@ shape in the catalog. Each element coef * r^n * X_{s*n+o}, a summand's with
 r = outer_ratio*beta, is C-finite of order at most 2: it obeys a two-term
 recurrence (c1, c2). Elements of one recurrence add up to one more solution
 of it, so :func:`recurrences` groups them into classes and gives each class's
-seeds as ints on one common scale, built straight from the elements' integer
-windows (:func:`sequences.int_window`) with no fraction on the way; each side
-of a class is then one :func:`sequences.int_walk`. :func:`sides`, which
-serves :func:`descriptor_eval` and the verifier's witnesses, reads fractions
-off those ints and carries the sum side in Horner form, so its running value
-is the side itself and not the powers r^n and beta^i, which grow apart when
-r = t = -c2*X_{k-1}/X_k at far k. A range sweep needs no running sum at all:
-:func:`verifier.verify` walks the residual of each class.
+seeds as ints on one common scale E*D^n, read from the elements' integer
+windows (:func:`sequences.int_window`) with no fraction on the way.
+
+The difference of the sides obeys Delta_n = r*Delta_{n-1} + rho_n, and the
+residual rho, which involves no partial sum, is a sum of class walks: one int
+stream (:func:`_residuals`) is all that steps a descriptor.
+:func:`first_difference` sweeps it for a range, and :func:`sides`, which
+serves :func:`descriptor_eval`, reads the LHS off the class walks and the sum
+side as L_n - Delta_n, so nothing carried outgrows the sides themselves.
 
 :func:`theorem2_descriptor` generates descriptors for any sequence and summand
 offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice, repeat
 from math import gcd, lcm
 
 from .numeric import ensure_fraction, rat_pow
@@ -163,37 +164,25 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
 
     No fraction is built: each element's window comes from
     :func:`sequences.int_window` as ints over their denominators, and its
-    coef multiplies both. Elements are grouped by their unscaled recurrence
-    (a, b) and ratio r first, so r, which makes the class (a*r, b*r^2) and
-    the second seed r*y1, is applied once per group; groups of equal (c1, c2)
-    then merge. D is the lcm of the classes' :func:`sequences.step_scale`
-    and E that of the seeds' reduced denominators, and a side's seeds are the
-    ints (E*y0, E*D*y1): a :func:`sequences.int_walk` on scale D from them
-    yields E*D^m times the side's class walk at m.
+    coef multiplies both. An element of unscaled recurrence (a, b) and ratio
+    r is a walk of (a*r, b*r^2) from the seeds (y0, r*y1). D is the lcm of the
+    classes' :func:`sequences.step_scale` and E that of the seeds' reduced
+    denominators, and a side's seeds are the ints (E*y0, E*D*y1): a
+    :func:`sequences.int_walk` on scale D from them yields E*D^m times the
+    side's class walk at m.
     """
     rhs = d.rhs
     c, g = rhs.outer_coef, rhs.outer_ratio * rhs.beta
-    elements = [(1, *t.coef.as_integer_ratio(), t.ratio, t) for t in d.lhs]
+    elements = [(2, *t.coef.as_integer_ratio(), t.ratio, t) for t in d.lhs]
     elements += [
-        (2, c.numerator * s.coef.numerator, c.denominator * s.coef.denominator, g, s) for s in rhs.summands
+        (3, c.numerator * s.coef.numerator, c.denominator * s.coef.denominator, g, s) for s in rhs.summands
     ]
     zero = ((0, 1), (0, 1))
-    # [(a, b, r), lhs seeds, sum seeds] per group, found by a list scan: there
-    # are few groups, and hashing a Fraction costs more than comparing it
-    groups = []
+    # [c1, c2, lhs seeds, sum seeds] per class, found by a list scan: there
+    # are few classes, and hashing a Fraction costs more than comparing it
+    classes = []
     for side, num, den, r, t in elements:
         a, b, u, v, p, q = _unscaled(t)
-        key = (a, b, r)
-        for grp in groups:
-            if grp[0] == key:
-                break
-        else:
-            grp = [key, zero, zero]
-            groups.append(grp)
-        y0, y1 = grp[side]
-        grp[side] = _plus(y0, (num * u, den * p)), _plus(y1, (num * v, den * q))
-    classes = []  # [c1, c2, lhs seeds, sum seeds]
-    for (a, b, r), *both in groups:
         c1, c2 = (a, b) if r == 1 else (a * r, b * r * r)
         for cls in classes:
             if cls[0] == c1 and cls[1] == c2:
@@ -201,9 +190,8 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
         else:
             cls = [c1, c2, zero, zero]
             classes.append(cls)
-        for side, (z0, (n1, p1)) in enumerate(both, 2):
-            y0, y1 = cls[side]
-            cls[side] = _plus(y0, z0), _plus(y1, (r.numerator * n1, r.denominator * p1))
+        y0, y1 = cls[side]
+        cls[side] = _plus(y0, (num * u, den * p)), _plus(y1, (r.numerator * num * v, r.denominator * den * q))
     classes = [(c1, c2, *([_lowest(*y) for y in seeds] for seeds in both)) for c1, c2, *both in classes]
     e = lcm(*(p for _, _, *both in classes for seeds in both for _, p in seeds))
     scale = lcm(*(step_scale(c1, c2) for c1, c2, _, _ in classes))
@@ -215,31 +203,97 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
     return scale, e, [(c1, c2, ints(lhs), ints(sums)) for c1, c2, lhs, sums in classes]
 
 
-def sides(d: IdentityDescriptor, n_lo: int, rec=None):
+def _residuals(d: IdentityDescriptor, rec):
+    """(E*Delta_0, a stream of den(r)*E*D^n*rho_n for n = 1, 2, ...) on the
+    scale (D, E) of rec = recurrences(d).
+
+    With L_n the LHS and R_n = r*R_{n-1} + S_n the sum side, Delta_n = L_n -
+    R_n obeys Delta_n = r*Delta_{n-1} + rho_n with the residual
+
+        rho_n = L_n - r*L_{n-1} - S_n,
+
+    and Delta_0 = L_0 - S_0. rho is the sum over classes G of rho^G_n =
+    L^G_n - r*L^G_{n-1} - S^G_n, a combination of walks of G's recurrence, so
+    it obeys that recurrence for n >= 3 and is one int walk per class. With
+    L~_n = E*D^n*L^G_n and S~_n the ints of G's walks, its seeds
+    den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1} at n = 1
+    and 2 come from their first three ints.
+    """
+    scale, _, classes = rec
+    r = d.rhs.outer_ratio
+    p, q = r.numerator * scale, r.denominator
+    delta, walks = 0, []
+    for c1, c2, lhs_seeds, sum_seeds in classes:
+        l0, l1, l2 = islice(int_walk(c1, c2, scale, *lhs_seeds), 3)
+        s0, s1, s2 = islice(int_walk(c1, c2, scale, *sum_seeds), 3)
+        delta += l0 - s0
+        walks.append(int_walk(c1, c2, scale, q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
+    return delta, map(sum, zip(*walks)) if walks else repeat(0)
+
+
+def _carried(d: IdentityDescriptor, rec, n_lo: int):
+    """(Delta_{n_lo}, the stream of :func:`_residuals` left at n_lo + 1),
+    with a Fraction built only while Delta or rho is nonzero."""
+    scale, e, _ = rec
+    delta, rhos = _residuals(d, rec)
+    delta = Fraction(delta, e) if delta else 0
+    r = d.rhs.outer_ratio
+    for n, rho in zip(range(1, n_lo + 1), rhos):
+        if delta or rho:
+            delta = r * delta + Fraction(rho, r.denominator * e * scale ** n)
+    return delta, rhos
+
+
+def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
+    """The first (n, lhs, rhs) with lhs != rhs for n in [n_lo, n_hi], else None.
+
+    Delta_{n_lo} comes from :func:`_carried`; past n_lo the first n with
+    Delta_n != 0 is the first with rho_n != 0, so the sweep is one int step
+    per class and one zero test per n. There Delta_{n-1} = 0 and Delta_n =
+    rho_n, so the witness is (n, L_n, L_n - rho_n), L_n read by one skip of
+    each class's LHS walk. The caller bounds the range, as
+    :func:`verifier.verify` does.
+    """
+    rec = recurrences(d)
+    scale, e, classes = rec
+    delta, rhos = _carried(d, rec, n_lo)
+    n = n_lo
+    if not delta:
+        for n, rho in zip(range(n_lo + 1, n_hi + 1), rhos):
+            if rho:
+                delta = Fraction(rho, d.rhs.outer_ratio.denominator * e * scale ** n)
+                break
+        else:
+            return None
+    lhs = Fraction(sum(next(int_walk(c1, c2, scale, *seeds, n)) for c1, c2, seeds, _ in classes), e * scale ** n)
+    return n, lhs, lhs - delta
+
+
+def sides(d: IdentityDescriptor, n_lo: int):
     """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
 
-    One LHS walk and one summand walk per recurrence class of
-    :func:`recurrences` (rec, when the caller has it already), stepped as
-    ints on its common scale (D, E); each side at n is one fraction, the sum
-    of its class walks' ints over E*D^n. The sum side is carried in Horner
-    form, R_n = r*R_{n-1} + S_n. Like an LHS term's r^n, each summand's g^i
-    lives in its class's walk, and R_n is the side's own value, so nothing
-    carried outgrows it.
+    The LHS is one walk per recurrence class of :func:`recurrences`, stepped
+    as ints on its common scale (D, E) and read as one fraction over E*D^n;
+    the sum side is L_n - Delta_n, with Delta carried in Horner form,
+    Delta_n = r*Delta_{n-1} + rho_n, from the residual stream of
+    :func:`_residuals`. Delta is the difference of the sides, 0 for a true
+    identity, so nothing carried outgrows them.
     """
     if n_lo < d.n_min:
         raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
     if n_lo > MAX_INDEX:
         raise ValueError(f"n={n_lo} is beyond the limit of {MAX_INDEX}")
-    scale, den, classes = recurrences(d) if rec is None else rec
+    rec = recurrences(d)
+    scale, den, classes = rec
+    delta, rhos = _carried(d, rec, n_lo)
     lhs = [int_walk(c1, c2, scale, *seeds, n_lo) for c1, c2, seeds, _ in classes]
-    summands = [int_walk(c1, c2, scale, *seeds) for c1, c2, _, seeds in classes]
     r = d.rhs.outer_ratio
-    total = _ZERO
-    for n in count():
-        total = r * total + Fraction(sum(map(next, summands)), den)
-        if n >= n_lo:
-            yield n, Fraction(sum(map(next, lhs)), den), total
+    den *= scale ** n_lo
+    for n in count(n_lo):
+        value = Fraction(sum(map(next, lhs)), den)
+        yield n, value, value - delta
         den *= scale
+        delta = r * delta + Fraction(next(rhos), r.denominator * den)
 
 
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:

@@ -667,6 +667,11 @@ GOLDEN_CASES = {
     "verify_ones_n_min3": (
         "verify", "--json", str(GOLDEN / "eq4_ones.json"), "--n-min", "3", "--n-max", "40",
     ),
+    # the witness at n = 2 lies past an n_lo > 0
+    "verify_ones_n_min1": (
+        "verify", "--json", str(GOLDEN / "eq4_ones.json"), "--n-min", "1", "--n-max", "40",
+    ),
+    "verify_eq12_n_min5": ("verify", "--id", "eq12", "--param", "j=2", "--n-min", "5", "--n-max", "40"),
 }
 
 

@@ -134,6 +134,21 @@ class TestVerify:
         report = verify(broken, 0, 32)
         assert report.first_failure == (0, *brute_sides(broken, 0))
 
+    @pytest.mark.parametrize("n_lo", [0, 5, 17])
+    def test_sides_of_failing_descriptors(self, n_lo):
+        # every mutant's sides differ at n = 0, so a nonzero difference is
+        # carried up to n_lo and on past it
+        for d in (entry("eq2").descriptor, entry("eq10", k=2).descriptor, ZERO_RATIO, MIXED):
+            for m in coefficient_mutants(d):
+                head = [item[1:] for item in islice(sides(m, n_lo), 3)]
+                assert head == [brute_sides(m, n) for n in range(n_lo, n_lo + 3)], (m.id, n_lo)
+
+    def test_descriptor_with_no_terms(self):
+        # no classes, so no residual walk: both sides are 0 at every n
+        d = IdentityDescriptor("empty", (), SumSide(1, 1, 1, ()))
+        assert list(islice(sides(d, 2), 3)) == [(n, 0, 0) for n in (2, 3, 4)]
+        assert verify(d, 0, 5).passed and verify(d, 3, 5).passed
+
     def test_nonzero_start_matches_full_sweep(self):
         d = entry("eq12", j=2).descriptor
         assert verify(d, 5, 20).passed
@@ -333,8 +348,11 @@ class TestClassSetUp:
             calls.append(d)
             return recurrences(d)
 
+        def unused(*args):
+            raise AssertionError("verify evaluates through sides")
+
         monkeypatch.setattr(engine, "recurrences", counted)
-        monkeypatch.setattr(verifier, "recurrences", counted)
+        monkeypatch.setattr(engine, "sides", unused)
         verify(d, n_lo, 40)
         assert len(calls) == 1
 
