@@ -54,7 +54,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-MAX_FUZZ_COUNT = 10_000  # instances per generator; fuzz keeps every report in memory
+MAX_FUZZ_COUNT = 10_000  # instances per generator; each fuzz process keeps one stream's reports in memory
 
 
 def _int_flag(text: str) -> int:
@@ -169,16 +169,105 @@ def _cmd_catalog_verify_all(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def _summarize(name: str, reports) -> tuple[int, int, int]:
+def _summarize(name: str, reports) -> tuple[str, int]:
+    """The text fuzz prints for one generator (its counts, then a line per
+    failing report) and the number of failures."""
     passed = sum(1 for r in reports if r.status == "pass")
     skipped = sum(1 for r in reports if r.status == "skipped")
     failed = sum(1 for r in reports if r.status == "fail")
-    print(f"{name}: {passed} pass, {skipped} skipped, {failed} fail "
-          f"({len(reports)} instances)")
-    for report in reports:
-        if report.status == "fail":
-            print(f"  {report_line(report)}")
-    return passed, skipped, failed
+    lines = [f"{name}: {passed} pass, {skipped} skipped, {failed} fail ({len(reports)} instances)"]
+    lines += [f"  {report_line(r)}" for r in reports if r.status == "fail"]
+    return "\n".join(lines), failed
+
+
+def _in_child(job):
+    """Start job() in a forked child and return result(kill=False), which
+    reads the child's pipe to EOF, reaps the child and returns what job()
+    returned; with kill=True it kills the child first and returns None.
+
+    The child sends back only job()'s result (or a ValueError's message,
+    which result() raises again as ValueError) as marshal bytes, and always
+    leaves through os._exit: it never flushes the stdout buffer it inherited
+    nor runs the parent's exit hooks. Any other exception in the child prints
+    its traceback to stderr, and result() raises RuntimeError. Where os.fork
+    is missing or fails, result() runs job() itself.
+    """
+    def in_process(kill=False):
+        return None if kill else job()
+
+    if not hasattr(os, "fork"):
+        return in_process
+    import marshal
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return in_process
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                answer = (True, job())
+            except ValueError as exc:
+                answer = (False, str(exc))
+            with open(write_fd, "wb") as pipe:
+                marshal.dump(answer, pipe)
+            status = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def result(kill=False):
+        if kill:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        with open(read_fd, "rb") as pipe:
+            answer = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        if kill:
+            return None
+        if not answer:
+            raise RuntimeError(
+                f"forked fuzz stream failed with exit code {os.waitstatus_to_exitcode(status)}"
+            )
+        ok, value = marshal.loads(answer)
+        if not ok:
+            raise ValueError(value)
+        return value
+
+    return result
+
+
+def _summaries(theorem: str, cfg: FuzzConfig):
+    """Yield (text, failures) per fuzzed generator, theorem2's first.
+
+    The two streams share nothing, so for "both" theorem1's runs in a forked
+    child (_in_child) while theorem2's runs here. If theorem2's raises, or
+    the caller stops early (which closes this generator at the yield), the
+    child is killed and reaped before the exception goes on.
+    """
+    theorem2 = lambda: _summarize("theorem2", fuzz_theorem2(cfg))
+    theorem1 = lambda: _summarize("theorem1", fuzz_theorem1(cfg))
+    if theorem != "both":
+        yield (theorem1 if theorem == "1" else theorem2)()
+        return
+    theorem1 = _in_child(theorem1)
+    try:
+        yield theorem2()
+    except BaseException:
+        theorem1(kill=True)
+        raise
+    yield theorem1()
 
 
 def _cmd_fuzz(args) -> int:
@@ -192,10 +281,9 @@ def _cmd_fuzz(args) -> int:
     print(f"seed = {seed}")
     cfg = FuzzConfig(seed=seed, instance_count=args.count)
     failures = 0
-    if args.theorem in ("2", "both"):
-        failures += _summarize("theorem2", fuzz_theorem2(cfg))[2]
-    if args.theorem in ("1", "both"):
-        failures += _summarize("theorem1", fuzz_theorem1(cfg))[2]
+    for text, failed in _summaries(args.theorem, cfg):
+        print(text)
+        failures += failed
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

@@ -11,10 +11,10 @@ Definitions are immutable values with no cache, so callers share no state.
 
 One kernel, :func:`int_walk`, steps every second-order recurrence in the
 package: single terms and windows (:func:`int_window`), subsequence seeds,
-the recurrence classes of :mod:`engine` and the residual sweep of
-:mod:`verifier`. It runs on plain ints: with E the lcm of the denominators of
-the start values and D the lcm of den(c1) and den(c2), or of den(c1) and
-sqrt(den(c2)) when den(c2) is a perfect square, W_m = E*D^m*Y_m obeys
+and the recurrence classes and residual sweep of :mod:`engine`. It runs
+on plain ints: with E the lcm of the denominators of the start values and D
+the lcm of den(c1) and den(c2), or of den(c1) and sqrt(den(c2)) when den(c2)
+is a perfect square, W_m = E*D^m*Y_m obeys
 W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are integers, so
 no step reduces a fraction. Any multiples of that D and E serve as well, so a
 caller may put several walks on one common scale and combine their ints

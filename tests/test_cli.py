@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from identity_forge import cli
 from identity_forge import oeis
+from identity_forge import verifier
 from identity_forge.catalog import entry
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
 from identity_forge.numeric import format_rational
@@ -442,6 +444,138 @@ class TestFuzzCommand:
         assert f"--count must be <= {cli.MAX_FUZZ_COUNT}" in err
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def coef_plus_one(generator):
+    """generator with its descriptors' outer_coef raised by one: every
+    identity it builds is false at n = 0."""
+    def wrong(*args):
+        d = generator(*args)
+        return dataclasses.replace(d, rhs=dataclasses.replace(d.rhs, outer_coef=d.rhs.outer_coef + 1))
+    return wrong
+
+
+def raising(generator, exc):
+    """generator that raises exc on its third call, after two instances."""
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise exc
+        return generator(*args)
+    return broken
+
+
+class TestFuzzStreamsInTwoProcesses:
+    """fuzz --theorem both runs theorem1's stream in a forked child: its
+    transcript must be the one process's, byte for byte."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real_fork = os.fork
+
+        def counted():
+            calls.append(1)
+            return real_fork()
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    @pytest.mark.parametrize("wrong", [None, "theorem1_descriptor", "theorem2_descriptor"])
+    def test_both_is_theorem2_then_theorem1(self, capsys, monkeypatch, forks, seed, wrong):
+        if wrong:
+            monkeypatch.setattr(verifier, wrong, coef_plus_one(getattr(verifier, wrong)))
+        argv = ("fuzz", "--seed", seed, "--count", "200", "--theorem")
+        code, out, err = run(capsys, *argv, "both")
+        assert forks == [1]
+        assert_no_child_left()
+        code2, out2, _ = run(capsys, *argv, "2")
+        code1, out1, _ = run(capsys, *argv, "1")
+        assert forks == [1]
+        head = f"seed = {seed}\n"
+        assert out2.startswith(head) and out1.startswith(head)
+        assert out == head + out2[len(head):] + out1[len(head):]
+        assert err == ""
+        assert code == max(code1, code2)
+        if wrong:
+            name = wrong[:len("theoremN")]
+            prefix = f"  FAIL    t{name[-1]}#"
+            ids = [int(line[len(prefix):].split("(")[0]) for line in out.splitlines() if line.startswith(prefix)]
+            assert code == 1 and f"{name}: 0 pass, " in out
+            assert len(ids) > 150 and ids == sorted(ids)
+        else:
+            assert code == 0
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, *argv, "both") == (code, out, err)
+
+    @pytest.mark.parametrize("stream", ["theorem1_descriptor", "theorem2_descriptor"])
+    def test_value_error_in_either_stream(self, capsys, monkeypatch, stream):
+        generator = getattr(verifier, stream)
+        monkeypatch.setattr(verifier, stream, raising(generator, ValueError("stream broke")))
+        argv = ("fuzz", "--seed", "5", "--count", "50")
+        forked = run(capsys, *argv)
+        assert_no_child_left()
+        monkeypatch.setattr(verifier, stream, raising(generator, ValueError("stream broke")))
+        monkeypatch.delattr(os, "fork")
+        assert forked == run(capsys, *argv)
+        code, out, err = forked
+        assert code == 2
+        assert err == "error: stream broke\n"
+        assert ("theorem2:" in out) == (stream == "theorem1_descriptor")
+        assert "theorem1:" not in out
+
+    @pytest.mark.parametrize("stream, raised", [
+        ("theorem1_descriptor", RuntimeError),  # the child's traceback goes to stderr
+        ("theorem2_descriptor", ZeroDivisionError),  # the parent's own error
+    ])
+    def test_other_error_in_either_stream_raises(self, capfd, monkeypatch, stream, raised):
+        monkeypatch.setattr(verifier, stream, raising(getattr(verifier, stream), ZeroDivisionError("boom")))
+        with pytest.raises(raised):
+            cli.main(["fuzz", "--seed", "5", "--count", "50"])
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert ("ZeroDivisionError: boom" in err) == (stream == "theorem1_descriptor")
+
+    def test_stdout_failing_after_theorem2_kills_child(self, monkeypatch):
+        # print raises in the loop that consumes the summaries, which closes
+        # the generator while the child may still be running
+        class ClosedAfterSeed(io.StringIO):
+            def write(self, text):
+                if text.startswith("theorem2"):
+                    raise BrokenPipeError
+                return super().write(text)
+        monkeypatch.setattr(sys, "stdout", ClosedAfterSeed())
+        with pytest.raises(BrokenPipeError):
+            cli.main(["fuzz", "--seed", "1", "--count", "200"])
+        assert_no_child_left()
+
+    def test_single_theorem_does_not_fork(self, capsys, forks):
+        for theorem in ("1", "2"):
+            code, _, _ = run(capsys, "fuzz", "--seed", "1", "--count", "20", "--theorem", theorem)
+            assert code == 0
+        assert forks == []
+
+    def test_real_process_stdout_matches_golden(self):
+        # a child that flushed the inherited "seed = 1" buffer would print it
+        # twice; capsys cannot show that, a pipe can. Without
+        # PYTHONUNBUFFERED, stdout to a pipe is block-buffered as users get it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "identity_forge", "fuzz", "--seed", "1", "--count", "200", "--theorem", "both"],
+            env={**env, "PYTHONPATH": str(src)}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, timeout=120,
+        )
+        golden = (GOLDEN / "fuzz_both.txt").read_text()
+        stdout = golden[golden.index("--- stdout\n") + 11:golden.index("--- stderr\n")]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
 class TestOeisCheck:
     @pytest.mark.parametrize(
         "family", ["pell", "fibonacci", "lucas", "pelllucas", "bronze", "a015530"]
@@ -609,6 +743,8 @@ with open(sys.argv[1], "w") as out:
 """
 # what only a live oeis-check fetch or a bundled-fixture lookup uses
 _NETWORK_MODULES = ("urllib.request", "http.client", "ssl", "email", "importlib.resources")
+# fuzz --theorem both forks and sends its child's text back with marshal alone
+_CONCURRENCY_MODULES = ("pickle", "multiprocessing", "concurrent.futures", "subprocess", "threading")
 # perfbench/tracer.py wraps functions in these right after importing the CLI
 _TRACED_MODULES = tuple(
     f"identity_forge.{name}"
@@ -620,7 +756,8 @@ _TRACED_MODULES = tuple(
     ("seq-eval", "--family", "lucas", "--n", "500"),
     ("generate", "--family", "pell", "--k", "2", "--json"),
     ("verify", "--json", str(Path(__file__).parent / "golden" / "eq4_ones.json")),
-], ids=["seq-eval", "generate-json", "verify-json"])
+    ("fuzz", "--seed", "1", "--count", "20", "--theorem", "both"),
+], ids=["seq-eval", "generate-json", "verify-json", "fuzz-both"])
 def test_startup_loads_no_network_stack(tmp_path, argv):
     out = tmp_path / "modules.json"
     src = Path(__file__).resolve().parent.parent / "src"
@@ -634,6 +771,7 @@ def test_startup_loads_no_network_stack(tmp_path, argv):
     network = {m for m in added for n in _NETWORK_MODULES if m == n or m.startswith(n + ".")}
     assert network == set()
     assert set(_TRACED_MODULES) <= added
+    assert not added & set(_CONCURRENCY_MODULES)
 
 
 def test_custom_sequence_verification_pipeline(capsys, tmp_path):
