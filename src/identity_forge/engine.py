@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import count, islice, repeat
 from math import gcd, lcm
 
-from .numeric import ensure_fraction, rat_pow
+from .numeric import ensure_fraction, lowest_terms, rat_pow
 from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, int_window, step_scale
 from .sequences import stride_recurrence, term, window
 
@@ -116,23 +116,24 @@ class IdentityDescriptor:
             raise ValueError("n_min must be >= 0")
 
 
-_ONE, _ZERO = Fraction(1), Fraction(0)
+_ONE = Fraction(1)
 
 
-def _unscaled(t) -> tuple[Fraction, Fraction, int, int, int, int]:
+def _unscaled(t) -> tuple[tuple[int, int], tuple[int, int], int, int, int, int]:
     """(a, b, u, v, p, q): the values of t, a GeometricTerm or a Summand, are
-    coef * r^m * Y_m with Y obeying (a, b) from Y_0 = u/p and Y_1 = v/q: the
-    stride subsequence of t's sequence, or with no sequence, or stride 0, the
+    coef * r^m * Y_m with Y obeying (a, b) from Y_0 = u/p and Y_1 = v/q, a
+    and b given as (numerator, denominator) in lowest terms: the stride
+    subsequence of t's sequence, or with no sequence, or stride 0, the
     constant X_offset, (a, b) = (1, 0)."""
     if t.seq is None:
-        return _ONE, _ZERO, 1, 1, 1, 1
+        return (1, 1), (0, 1), 1, 1, 1, 1
     if t.stride == 0:
         u, _, p, _ = int_window(t.seq, t.offset)
-        return _ONE, _ZERO, u, u, p, p
+        return (1, 1), (0, 1), u, u, p, p
     if t.stride == 1:
-        return (t.seq.c1, t.seq.c2, *int_window(t.seq, t.offset))
+        return (t.seq.c1.as_integer_ratio(), t.seq.c2.as_integer_ratio(), *int_window(t.seq, t.offset))
     a, b, y0, y1 = stride_recurrence(t.seq, t.stride, t.offset)
-    return a, b, y0.numerator, y1.numerator, y0.denominator, y1.denominator
+    return a.as_integer_ratio(), b.as_integer_ratio(), y0.numerator, y1.numerator, y0.denominator, y1.denominator
 
 
 def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -142,12 +143,6 @@ def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         return n + m, p
     k = lcm(p, q)
     return n * (k // p) + m * (k // q), k
-
-
-def _lowest(n: int, p: int) -> tuple[int, int]:
-    """n/p in lowest terms, as ints."""
-    k = gcd(n, p)
-    return n // k, p // k
 
 
 def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, Fraction, tuple, tuple]]]:
@@ -162,45 +157,45 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
     the walks of one exact (c1, c2), adds up the seeds of its LHS terms and,
     apart, of its summands; a side with no walk in a class has seeds (0, 0).
 
-    No fraction is built: each element's window comes from
+    Everything runs on ints: each element's window comes from
     :func:`sequences.int_window` as ints over their denominators, and its
     coef multiplies both. An element of unscaled recurrence (a, b) and ratio
-    r is a walk of (a*r, b*r^2) from the seeds (y0, r*y1). D is the lcm of the
-    classes' :func:`sequences.step_scale` and E that of the seeds' reduced
+    r is a walk of (a*r, b*r^2) from the seeds (y0, r*y1); the class key is
+    the ints of (a*r, b*r^2) in lowest terms, and c1 and c2 are the only
+    fractions built, two per class. D is the lcm of the classes'
+    :func:`sequences.step_scale` and E that of the seeds' reduced
     denominators, and a side's seeds are the ints (E*y0, E*D*y1): a
     :func:`sequences.int_walk` on scale D from them yields E*D^m times the
     side's class walk at m.
     """
     rhs = d.rhs
-    c, g = rhs.outer_coef, rhs.outer_ratio * rhs.beta
-    elements = [(2, *t.coef.as_integer_ratio(), t.ratio, t) for t in d.lhs]
+    c, ratio, beta = rhs.outer_coef, rhs.outer_ratio, rhs.beta
+    g = lowest_terms(ratio.numerator * beta.numerator, ratio.denominator * beta.denominator)
+    elements = [(0, *t.coef.as_integer_ratio(), t.ratio.as_integer_ratio(), t) for t in d.lhs]
     elements += [
-        (3, c.numerator * s.coef.numerator, c.denominator * s.coef.denominator, g, s) for s in rhs.summands
+        (1, c.numerator * s.coef.numerator, c.denominator * s.coef.denominator, g, s) for s in rhs.summands
     ]
     zero = ((0, 1), (0, 1))
-    # [c1, c2, lhs seeds, sum seeds] per class, found by a list scan: there
-    # are few classes, and hashing a Fraction costs more than comparing it
-    classes = []
-    for side, num, den, r, t in elements:
-        a, b, u, v, p, q = _unscaled(t)
-        c1, c2 = (a, b) if r == 1 else (a * r, b * r * r)
-        for cls in classes:
-            if cls[0] == c1 and cls[1] == c2:
-                break
-        else:
-            cls = [c1, c2, zero, zero]
-            classes.append(cls)
-        y0, y1 = cls[side]
-        cls[side] = _plus(y0, (num * u, den * p)), _plus(y1, (r.numerator * num * v, r.denominator * den * q))
-    classes = [(c1, c2, *([_lowest(*y) for y in seeds] for seeds in both)) for c1, c2, *both in classes]
-    e = lcm(*(p for _, _, *both in classes for seeds in both for _, p in seeds))
-    scale = lcm(*(step_scale(c1, c2) for c1, c2, _, _ in classes))
+    # [lhs seeds, sum seeds] per class; a dict keeps the order classes are found in
+    classes = {}
+    for side, num, den, (rn, rd), t in elements:
+        (an, ad), (bn, bd), u, v, p, q = _unscaled(t)
+        if rn != rd:  # r != 1
+            (an, ad), (bn, bd) = lowest_terms(an * rn, ad * rd), lowest_terms(bn * rn * rn, bd * rd * rd)
+        seeds = classes.setdefault((an, ad, bn, bd), [zero, zero])
+        y0, y1 = seeds[side]
+        seeds[side] = _plus(y0, (num * u, den * p)), _plus(y1, (rn * num * v, rd * den * q))
+    classes = [(key, *([lowest_terms(*y) for y in seeds] for seeds in both)) for key, both in classes.items()]
+    e = lcm(*(p for _, *both in classes for seeds in both for _, p in seeds))
+    scale = lcm(*(step_scale(ad, bd) for (_, ad, _, bd), _, _ in classes))
 
     def ints(seeds):
         (n0, p0), (n1, p1) = seeds
         return n0 * (e // p0), n1 * (e * scale // p1)
 
-    return scale, e, [(c1, c2, ints(lhs), ints(sums)) for c1, c2, lhs, sums in classes]
+    return scale, e, [
+        (Fraction(an, ad), Fraction(bn, bd), ints(lhs), ints(sums)) for (an, ad, bn, bd), lhs, sums in classes
+    ]
 
 
 def _residuals(d: IdentityDescriptor, rec):
@@ -214,7 +209,8 @@ def _residuals(d: IdentityDescriptor, rec):
 
     and Delta_0 = L_0 - S_0. rho is the sum over classes G of rho^G_n =
     L^G_n - r*L^G_{n-1} - S^G_n, a combination of walks of G's recurrence, so
-    it obeys that recurrence for n >= 3 and is one int walk per class. With
+    it obeys that recurrence for n >= 3 and is one int walk per class, seeded
+    at n = 1 and 2; :func:`first_difference` reads its proof bound off that. With
     L~_n = E*D^n*L^G_n and S~_n the ints of G's walks, its seeds
     den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1} at n = 1
     and 2 come from their first three ints.
@@ -248,18 +244,32 @@ def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
     """The first (n, lhs, rhs) with lhs != rhs for n in [n_lo, n_hi], else None.
 
     Delta_{n_lo} comes from :func:`_carried`; past n_lo the first n with
-    Delta_n != 0 is the first with rho_n != 0, so the sweep is one int step
-    per class and one zero test per n. There Delta_{n-1} = 0 and Delta_n =
-    rho_n, so the witness is (n, L_n, L_n - rho_n), L_n read by one skip of
-    each class's LHS walk. The caller bounds the range, as
-    :func:`verifier.verify` does.
+    Delta_n != 0 is the first with rho_n != 0. The sweep stops at the proof
+    bound: it tests rho only on (n_lo, min(n_hi, n_lo + B)], with B = 2 times
+    the number of classes, one int step per class and one zero test per n.
+
+    Proof that those B residuals decide the whole range: each class's stream
+    in :func:`_residuals` is an :func:`sequences.int_walk` of its recurrence
+    (c1*D, c2*D^2) from n = 1, so it obeys that recurrence for n >= 3, that
+    is, its monic operator S^2 - c1*D*S - c2*D^2 (S the shift) kills it from
+    n = 1 on. The product of the classes' operators, monic of order B,
+    therefore kills their sum, so for n >= B + 1 rho_n is a fixed combination
+    of the B residuals before it. If rho is 0 at n_lo + 1, ..., n_lo + B, with
+    n_lo >= 0, each later rho_n, n >= n_lo + B + 1 >= B + 1, is then 0 as
+    well, up to n_hi and beyond; so any first nonzero rho past n_lo lies among
+    the first B, and a range whose first B residuals are 0 has no
+    counterexample past n_lo.
+
+    At the first nonzero rho_n, Delta_{n-1} = 0 and Delta_n = rho_n, so the
+    witness is (n, L_n, L_n - rho_n), L_n read by one skip of each class's
+    LHS walk. The caller bounds the range, as :func:`verifier.verify` does.
     """
     rec = recurrences(d)
     scale, e, classes = rec
     delta, rhos = _carried(d, rec, n_lo)
     n = n_lo
     if not delta:
-        for n, rho in zip(range(n_lo + 1, n_hi + 1), rhos):
+        for n, rho in zip(range(n_lo + 1, min(n_hi, n_lo + 2 * len(classes)) + 1), rhos):
             if rho:
                 delta = Fraction(rho, d.rhs.outer_ratio.denominator * e * scale ** n)
                 break
@@ -306,7 +316,7 @@ def _weighted_sum(x: SequenceDef, k: int, id: str, citation: str) -> IdentityDes
 
     X_{k-1} and X_k come as ints from one :func:`sequences.int_window`, and
     X_2 = c1*X_1 + c2*X_0, so t and the outer coefficient are each one
-    fraction of ints, and 1/t one division.
+    fraction of ints, and beta = 1/t is t's own ints swapped.
     """
     u, v, p, q = int_window(x, k - 1)  # X_{k-1} = u/p, X_k = v/q
     if v == 0:
@@ -319,6 +329,7 @@ def _weighted_sum(x: SequenceDef, k: int, id: str, citation: str) -> IdentityDes
     # smaller, first leaves t's own reduction operands the size of X_k
     g = gcd(p, q)
     t = Fraction(-n2 * u * (q // g), d2 * (p // g) * v)
+    beta = Fraction(t.denominator, t.numerator)
     # X_2 = x2/y2, and outer = (X_0*X_2 - X_1^2) / X_k
     x2, y2 = n1 * a1 * d2 * b0 + n2 * a0 * d1 * b1, d1 * d2 * b0 * b1
     outer = Fraction((a0 * x2 * b1 * b1 - a1 * a1 * b0 * y2) * q, b0 * y2 * b1 * b1 * v)
@@ -328,7 +339,7 @@ def _weighted_sum(x: SequenceDef, k: int, id: str, citation: str) -> IdentityDes
             GeometricTerm(x.x0, _ONE, x, 1, 2),
             GeometricTerm(-x.x1, _ONE, x, 1, 1),
         ),
-        rhs=SumSide(outer, t, 1 / t, (Summand(_ONE, x, 1, k),)),
+        rhs=SumSide(outer, t, beta, (Summand(_ONE, x, 1, k),)),
         n_min=0,
         citation=citation,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:\s*/\s*[0-9]+)?$")
 
@@ -90,6 +91,16 @@ def format_rational(q: Fraction) -> str:
     if _past_max_digits(q.numerator) or _past_max_digits(q.denominator):
         raise DigitLimitError()
     return str(q)
+
+
+def lowest_terms(n: int, p: int) -> tuple[int, int]:
+    """n/p (p != 0) in lowest terms as the ints (numerator, denominator), the
+    denominator positive: what Fraction(n, p).as_integer_ratio() gives,
+    with no Fraction built."""
+    if p < 0:
+        n, p = -n, -p
+    k = gcd(n, p)
+    return n // k, p // k
 
 
 def rat_pow(q, e: int) -> Fraction:

@@ -21,8 +21,10 @@ caller may put several walks on one common scale and combine their ints
 directly. :func:`int_window` gives a window as such ints with their
 denominators E*D^m, and :func:`window`, :func:`term` and :func:`walk` read
 fractions off them. Backward, Y_m = X_{-m} is the same kind of sequence, with
-coefficients (-c1/c2, 1/c2). A walk skips at most :data:`MAX_INDEX` steps,
-which bounds the work that untrusted indices can demand.
+coefficients (-c1/c2, 1/c2), which :func:`int_window` forms in lowest terms
+from the ints of c1 and c2, so that a window at any index builds no
+fraction. A walk skips at most :data:`MAX_INDEX` steps, which bounds the
+work that untrusted indices can demand.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
 from operator import mul
 
-from .numeric import ensure_fraction, quote, rat_pow
+from .numeric import ensure_fraction, lowest_terms, quote, rat_pow
 
 
 @dataclass(frozen=True)
@@ -73,21 +75,23 @@ _PLAIN_FAMILIES = {
 MAX_INDEX = 100_000
 
 
-def step_scale(c1: Fraction, c2: Fraction) -> int:
-    """The least D for which c1*D and c2*D^2 are ints (module docstring)."""
-    q = c2.denominator
-    root = isqrt(q)
-    return lcm(c1.denominator, root if root * root == q else q)
+def step_scale(p1: int, p2: int) -> int:
+    """The least D for which c1*D and c2*D^2 are ints, from the reduced
+    denominators p1 of c1 and p2 of c2 (module docstring)."""
+    root = isqrt(p2)
+    return lcm(p1, root if root * root == p2 else p2)
 
 
-def _scaled_ints(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int):
+def _scaled_ints(c1, c2, y0, y1, m: int):
     """(D, E, ints): the least scale of a walk from (y0, y1) and its ints from
-    W_m on (:func:`int_walk`), refusing a skip of m past MAX_INDEX."""
+    W_m on (:func:`int_walk`), refusing a skip of m past MAX_INDEX; c1, c2,
+    y0 and y1 are given as (numerator, denominator) pairs in lowest terms."""
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
-    d, e = step_scale(c1, c2), lcm(y0.denominator, y1.denominator)
-    lo, hi = y0.numerator * (e // y0.denominator), y1.numerator * (e * d // y1.denominator)
-    return d, e, int_walk(c1, c2, d, lo, hi, m)
+    (n1, p1), (n2, p2), (u0, q0), (u1, q1) = c1, c2, y0, y1
+    d, e = step_scale(p1, p2), lcm(q0, q1)
+    # the walk of (c1, c2) on scale d is that of the ints (c1*d, c2*d^2) on scale 1
+    return d, e, int_walk(n1 * (d // p1), n2 * (d * d // p2), 1, u0 * (e // q0), u1 * (e * d // q1), m)
 
 
 def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
@@ -97,13 +101,14 @@ def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
     (see the module docstring); the fractions Y_j are read off them. c2 may
     be 0: (r, 0) from (z, z*r) is the geometric z*r^j.
     """
-    d, e, ints = _scaled_ints(c1, c2, y0, y1, m)
+    d, e, ints = _scaled_ints(*(y.as_integer_ratio() for y in (c1, c2, y0, y1)), m)
     return map(Fraction, ints, accumulate(repeat(d), mul, initial=e * d ** m))
 
 
 def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
     """Yield W_m, W_{m+1}, ... of W_j = (c1*d)*W_{j-1} + (c2*d^2)*W_{j-2} from
-    the ints (W_0, W_1) = (lo, hi), where c1*d and c2*d^2 are ints.
+    the ints (W_0, W_1) = (lo, hi), where c1*d and c2*d^2 are ints; c1 and c2
+    are Fractions or ints.
 
     This is the package's one recurrence loop: it steps the ints E*d^j*Y_j of
     any walk on a scale (d, E). The caller bounds m (:func:`walk` and
@@ -124,13 +129,23 @@ def int_window(seq: SequenceDef, n: int) -> tuple[int, int, int, int]:
     (D, E), whose denominators are E*D^m and E*D^(m+1), not reduced.
 
     For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and start
-    (X_0, X_{-1}), from m = -n-1 and swaps the pair. Like :func:`walk`, it
-    skips at most MAX_INDEX steps.
+    (X_0, X_{-1}), from m = -n-1 and swaps the pair; those three values are
+    formed in lowest terms from the ints of c1, c2, x0 and x1, so D and E
+    are the least for them. Like :func:`walk`, it skips at most MAX_INDEX
+    steps.
     """
-    c1, c2, x0, x1 = seq.c1, seq.c2, seq.x0, seq.x1
+    c1, c2 = seq.c1.as_integer_ratio(), seq.c2.as_integer_ratio()
+    x0, x1 = seq.x0.as_integer_ratio(), seq.x1.as_integer_ratio()
     m = n
     if n < 0:
-        c1, c2, x1, m = -c1 / c2, 1 / c2, (x1 - c1 * x0) / c2, -n - 1
+        (n1, p1), (n2, p2), (u0, q0), (u1, q1) = c1, c2, x0, x1
+        # X_{-1} = (x1 - c1*x0)/c2
+        c1, c2, x1, m = (
+            lowest_terms(-n1 * p2, p1 * n2),
+            lowest_terms(p2, n2),
+            lowest_terms((u1 * p1 * q0 - n1 * u0 * q1) * p2, q1 * p1 * q0 * n2),
+            -n - 1,
+        )
     d, e, ints = _scaled_ints(c1, c2, x0, x1, m)
     lo, hi = next(ints), next(ints)
     den = e * d ** m

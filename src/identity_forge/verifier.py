@@ -4,7 +4,8 @@ Verification decides whether the two sides of a descriptor agree at every
 integer in a range: :func:`verify` bounds the range and the work it may
 demand, and :func:`engine.first_difference` sweeps it on plain ints. A single
 exact counterexample falsifies an identity, so a failed sweep stops at the
-first witness.
+first witness; a passing one stops at its proof bound, once the residuals
+it has seen decide the rest of the range.
 
 The fuzzers draw random sequence definitions from a small rational pool,
 apply a generator from :mod:`identity_forge.engine`, and verify the result;
@@ -74,13 +75,16 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
     """Exact pass/fail over [n_lo, n_hi] with the first counterexample, if any.
 
     The sweep and its witness are :func:`engine.first_difference`. Its walks
-    step n up to n_hi and are seeded at X_offset, so a range whose n_hi or
-    any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is rejected
-    before anything is walked. So is one whose terms' reaches add up past
-    MAX_TOTAL_REACH, a term's reach being the largest of n_hi, the
-    |index| of its seeds X_offset and X_{offset+stride} and |stride*n_hi +
-    offset|: a term's walks step no further than that, so their sum bounds
-    the work of the descriptor's set-up and sweep together.
+    are seeded at X_offset and step n to at most n_hi (a passing sweep stops
+    at its proof bound n_lo + B, B = 2 per recurrence class, with the verdict
+    of the whole range), so a range whose n_hi or any |stride*n + offset| at
+    n in {0, n_hi} exceeds MAX_INDEX is rejected before anything is walked.
+    So is one whose terms' reaches add up past MAX_TOTAL_REACH, a term's
+    reach being the largest of n_hi, the |index| of its seeds X_offset and
+    X_{offset+stride} and |stride*n_hi + offset|: a term's walks step no
+    further than that, so their sum bounds the work of the descriptor's
+    set-up and sweep together. Both limits are contracts on the range asked
+    for, whatever part of it the sweep walks.
     """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
@@ -133,37 +137,37 @@ class FuzzConfig:
     n_range: tuple[int, int] = (0, 32)
 
 
+def _pool_texts(cfg: FuzzConfig):
+    """(pool, nonzero): the pool as (value, text) pairs, each text formatted
+    once, and those of nonzero value. rng.choice on them draws as on the
+    values, since it reads only their length."""
+    pool = tuple((q, format_rational(q)) for q in cfg.coefficient_pool)
+    return pool, tuple(item for item in pool if item[0] != 0)
+
+
 def theorem2_instances(cfg: FuzzConfig):
     """Deterministic stream of (label, SequenceDef, k) drawn from the pool."""
     rng = random.Random(cfg.seed)
-    pool = tuple(cfg.coefficient_pool)
-    nonzero = tuple(q for q in pool if q != 0)
+    pool, nonzero = _pool_texts(cfg)
     for idx in range(cfg.instance_count):
-        c1 = rng.choice(pool)
-        c2 = rng.choice(nonzero)
-        x0 = rng.choice(pool)
-        x1 = rng.choice(pool)
+        c1, c1_text = rng.choice(pool)
+        c2, c2_text = rng.choice(nonzero)
+        x0, x0_text = rng.choice(pool)
+        x1, x1_text = rng.choice(pool)
         k = rng.randint(*cfg.k_range)
-        label = (
-            f"t2#{idx}(c1={format_rational(c1)},c2={format_rational(c2)},"
-            f"x0={format_rational(x0)},x1={format_rational(x1)},k={k})"
-        )
+        label = f"t2#{idx}(c1={c1_text},c2={c2_text},x0={x0_text},x1={x1_text},k={k})"
         yield label, SequenceDef(c1, c2, x0, x1, label=f"t2#{idx}"), k
 
 
 def theorem1_instances(cfg: FuzzConfig):
     """Deterministic stream of (label, SequenceDef) with x0 forced to 1."""
     rng = random.Random(cfg.seed)
-    pool = tuple(cfg.coefficient_pool)
-    nonzero = tuple(q for q in pool if q != 0)
+    pool, nonzero = _pool_texts(cfg)
     for idx in range(cfg.instance_count):
-        c1 = rng.choice(pool)
-        c2 = rng.choice(nonzero)
-        x1 = rng.choice(pool)
-        label = (
-            f"t1#{idx}(c1={format_rational(c1)},c2={format_rational(c2)},"
-            f"x1={format_rational(x1)})"
-        )
+        c1, c1_text = rng.choice(pool)
+        c2, c2_text = rng.choice(nonzero)
+        x1, x1_text = rng.choice(pool)
+        label = f"t1#{idx}(c1={c1_text},c2={c2_text},x1={x1_text})"
         yield label, SequenceDef(c1, c2, 1, x1, label=f"t1#{idx}")
 
 

@@ -7,6 +7,7 @@ independent computation path.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 
 def brute_term(c1, c2, x0, x1, n):
@@ -75,6 +76,56 @@ def brute_first_failure(d, n_lo, n_hi):
         if lhs != rhs:
             return n, lhs, rhs
     return None
+
+
+def swept_first_failure(d, n_lo, n_hi):
+    """brute_first_failure(d, n_lo, n_hi) in one pass, for ranges too long to
+    sum from scratch at every n: each term's X_{stride*n + offset} is walked
+    forward, stride steps per n, from brute_term's values at its offset, and
+    the sum side is a running total of the same summand values."""
+
+    def xs(t):
+        if t.seq is None:
+            while True:
+                yield 1
+        c1, c2 = t.seq.c1, t.seq.c2
+        x, y = (brute_term(c1, c2, t.seq.x0, t.seq.x1, j) for j in (t.offset, t.offset + 1))
+        while True:
+            yield x
+            for _ in range(t.stride):
+                x, y = y, c1 * y + c2 * x
+
+    lhs_terms = [(t.coef, t.ratio, xs(t)) for t in d.lhs]
+    summands = [(s.coef, xs(s)) for s in d.rhs.summands]
+    total = Fraction(0)
+    for n in range(n_hi + 1):
+        total += d.rhs.beta ** n * sum(coef * next(x) for coef, x in summands)
+        lhs = Fraction(sum(coef * ratio ** n * next(x) for coef, ratio, x in lhs_terms))
+        rhs = d.rhs.outer_coef * d.rhs.outer_ratio ** n * total
+        if n >= n_lo and lhs != rhs:
+            return n, lhs, rhs
+    return None
+
+
+def backward_window(seq, n):
+    """The (u, v, p, q) of sequences.int_window for n < 0, with X_n = u/p and
+    X_{n+1} = v/q, computed over Fractions: the backward coefficients
+    (-c1/c2, 1/c2) and start X_{-1} = (x1 - c1*x0)/c2 as Fractions, then the ints
+    W_m = E*D^m*Y_m of Y_m = X_{-m} on the least scale (D, E), walked from
+    m = 0 to -n-1 and swapped; the denominators E*D^m are not reduced."""
+    assert n < 0
+    c1, c2, x0, x1 = seq.c1, seq.c2, seq.x0, seq.x1
+    c1, c2, x1 = -c1 / c2, 1 / c2, (x1 - c1 * x0) / c2
+    root = isqrt(c2.denominator)
+    d = lcm(c1.denominator, root if root * root == c2.denominator else c2.denominator)
+    e = lcm(x0.denominator, x1.denominator)
+    scaled = (c1 * d, c2 * d * d, x0 * e, x1 * e * d)
+    assert all(w.denominator == 1 for w in scaled)
+    a, b, lo, hi = (w.numerator for w in scaled)
+    m = -n - 1
+    for _ in range(m):
+        lo, hi = hi, a * hi + b * lo
+    return hi, lo, e * d ** (m + 1), e * d ** m
 
 
 def fib(n):

@@ -20,6 +20,7 @@ from identity_forge.sequences import (
     generalized_u,
     generalized_v,
     generalized_v_def,
+    int_window,
     named_def,
     subsequence_def,
     term,
@@ -34,6 +35,7 @@ from oracles import (
     KNOWN_LUCAS,
     KNOWN_PELL,
     KNOWN_PELL_LUCAS,
+    backward_window,
     brute_term,
 )
 
@@ -163,6 +165,29 @@ class TestTerm:
         value = term(FIBONACCI, 585)
         assert value.denominator == 1
         assert len(str(value.numerator)) > 120
+
+
+class TestIntWindow:
+    """int_window at n < 0 against the Fraction-built reference."""
+
+    def test_backward_ints_match_the_fraction_reference(self):
+        rng = random.Random(41)
+        # the pool's c2, negative ones among them, then square and non-square
+        # denominators and numerators past it (den(1/c2) = |num(c2)|)
+        c2s = [q for q in DEFAULT_POOL if q != 0]
+        c2s += [Fraction(1, 4), Fraction(-9, 4), Fraction(4, 9), Fraction(-4), Fraction(-5, 8)]
+        for c2 in c2s:
+            for _ in range(3):
+                seq = SequenceDef(rng.choice(DEFAULT_POOL), c2, rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL))
+                for n in range(-40, 0):
+                    assert int_window(seq, n) == backward_window(seq, n), (seq, n)
+
+    def test_limit_at_the_backward_boundary(self):
+        ones = SequenceDef(0, 1, 1, 1)  # X_n = 1 at every n, so the far walk stays small
+        assert int_window(ones, -MAX_INDEX - 1) == (1, 1, 1, 1)
+        refusal = f"^a walk of {MAX_INDEX + 1} steps is beyond the limit of {MAX_INDEX}$"
+        with pytest.raises(ValueError, match=refusal):
+            int_window(ones, -MAX_INDEX - 2)
 
 
 class TestDefinitions:

@@ -1,14 +1,18 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identity_forge.catalog import all_entries, entry
 from identity_forge.engine import descriptor_eval, recurrences, sides, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
 from identity_forge import engine, verifier
+from identity_forge.numeric import format_rational
 from identity_forge.sequences import A015530, FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, term
 from identity_forge.verifier import (
     DEFAULT_POOL,
@@ -24,7 +28,7 @@ from identity_forge.verifier import (
     verify_catalog,
 )
 
-from oracles import brute_class_sides, brute_first_failure, brute_sides
+from oracles import brute_class_sides, brute_first_failure, brute_sides, swept_first_failure
 
 
 RATIONAL = SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2)
@@ -357,6 +361,160 @@ class TestClassSetUp:
         assert len(calls) == 1
 
 
+# two sequences equal to 2^n at every integer n, of the recurrences (3, -2)
+# and (1, 2), whose roots {1, 2} and {2, -1} share the root 2
+POWERS_OF_TWO = (SequenceDef(3, -2, 1, 2), SequenceDef(1, 2, 1, 2))
+# Fibonacci and Jacobsthal, equal at n = 0, 1, 2 only
+NEAR_MISS = (FIBONACCI, SequenceDef(1, 2, 0, 1))
+
+
+def shared_root():
+    """2^n - 2^n = 0 with each 2^n on its own recurrence: the two classes'
+    residuals are nonzero, 2^(n-1) and -2^(n-1), and cancel."""
+    a, b = POWERS_OF_TWO
+    return IdentityDescriptor(
+        "shared-root", (GeometricTerm(1, 1, a, 1, 0), GeometricTerm(-1, 1, b, 1, 0)), SumSide(1, 1, 1, ())
+    )
+
+
+def late_failure(n_lo):
+    """A two-class descriptor (B = 4) whose sides agree on [0, n_lo + 3] and
+    differ first at n_lo + 4.
+
+    The sum side sums S_i = sum_j a_j*lam_j^i over the roots lam = 1, 2 of
+    (3, -2) and 3, 4 of (7, -12), with a_j = lam_j^-(n_lo+1) / prod_{k != j}
+    (lam_j - lam_k), so that S_{n_lo+1+m} is the complete homogeneous
+    symmetric polynomial h_{m-3} of the roots: 0 for m = 0, 1, 2 and 1 for
+    m = 3. The LHS is the constant sum_{i <= n_lo} S_i, a walk of (3, -2).
+    """
+    lams = [Fraction(v) for v in (1, 2, 3, 4)]
+    a = []
+    for j, lam in enumerate(lams):
+        den = lam ** (n_lo + 1)
+        for k, other in enumerate(lams):
+            if k != j:
+                den *= lam - other
+        a.append(1 / den)
+    low = SequenceDef(3, -2, a[0] + a[1], a[0] + 2 * a[1])
+    high = SequenceDef(7, -12, a[2] + a[3], 3 * a[2] + 4 * a[3])
+    head = sum(term(low, i) + term(high, i) for i in range(n_lo + 1))
+    constant = SequenceDef(3, -2, head, head)
+    return IdentityDescriptor(
+        f"late-failure[{n_lo}]",
+        (GeometricTerm(1, 1, constant, 1, 0),),
+        SumSide(1, 1, 1, (Summand(1, low, 1, 0), Summand(1, high, 1, 0))),
+    )
+
+
+def proof_bound(d):
+    return 2 * len(recurrences(d)[2])
+
+
+TERM_SEQS = (*POWERS_OF_TWO, FIBONACCI, RATIONAL)
+small_coefs = st.sampled_from([Fraction(v) for v in (-1, 1, 2, Fraction(-3, 2))])
+ratios = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))])
+strides = st.integers(0, 3)
+offsets = st.integers(-2, 2)
+lhs_terms = st.builds(GeometricTerm, small_coefs, ratios, st.sampled_from((None, *TERM_SEQS)), strides, offsets)
+summands = st.builds(Summand, small_coefs, st.sampled_from(TERM_SEQS), strides, offsets)
+
+
+@st.composite
+def drawn_descriptors(draw):
+    """1-3 terms on either side, maybe two of them a pair of LHS terms that
+    are equal but for sign: at every n on POWERS_OF_TWO, and at the first
+    few n at most on NEAR_MISS, so that the sides may first differ past n_lo."""
+    lhs, sums = [], []
+    pair = draw(st.sampled_from((None, POWERS_OF_TWO, NEAR_MISS)))
+    if pair is not None:
+        coef, ratio, stride, offset = draw(small_coefs), draw(ratios), draw(strides), draw(offsets)
+        lhs += [GeometricTerm(sign * coef, ratio, x, stride, offset) for sign, x in zip((1, -1), pair)]
+    for _ in range(draw(st.integers(0 if lhs else 1, 3 - len(lhs)))):
+        if draw(st.booleans()):
+            lhs.append(draw(lhs_terms))
+        else:
+            sums.append(draw(summands))
+    side = SumSide(draw(small_coefs), draw(ratios), draw(ratios), sums)
+    return IdentityDescriptor("drawn", lhs, side)
+
+
+class TestProofBound:
+    """The sweep stops at n_lo + B, B = 2 per class, with the verdict and
+    witness of a sweep of the whole range."""
+
+    def test_catalog_and_coefficient_mutants(self):
+        count = 0
+        for e in all_entries():
+            for d in (e.descriptor, *coefficient_mutants(e.descriptor)):
+                for n_lo in sorted({d.n_min, d.n_min + 1, d.n_min + 3, 40}):
+                    # the first failure on [n_lo, 120], if any, is the first on each shorter range
+                    longest = swept_first_failure(d, n_lo, 120)
+                    for n_hi in sorted({n_lo, n_lo + 1, n_lo + 2, n_lo + 5, 120}):
+                        expected = longest if longest is not None and longest[0] <= n_hi else None
+                        assert verify(d, n_lo, n_hi).first_failure == expected, (d.id, n_lo, n_hi)
+                        count += 1
+        assert count == 11_480
+
+    def test_swept_oracle_is_the_brute_one(self):
+        # the one-pass oracle against brute_first_failure, on ranges short enough for it
+        for e in all_entries():
+            for d in (e.descriptor, *coefficient_mutants(e.descriptor)):
+                for n_lo in (d.n_min, d.n_min + 2):
+                    assert swept_first_failure(d, n_lo, n_lo + 3) == brute_first_failure(d, n_lo, n_lo + 3)
+        for d in (ZERO_RATIO, eq4_ones(), geometric_ones(), MIXED, shared_root(), late_failure(1)):
+            for n_lo in (0, 1, 3):
+                assert swept_first_failure(d, n_lo, n_lo + 7) == brute_first_failure(d, n_lo, n_lo + 7), d.id
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fuzz_stream(self, seed):
+        for d in fuzz_descriptors(seed):
+            assert verify(d, 0, 32).first_failure == swept_first_failure(d, 0, 32), d.id
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_descriptors(), st.integers(0, 3), st.integers(0, 8))
+    def test_drawn_descriptors(self, d, n_lo, width):
+        assert_matches_reference(d, n_lo, n_lo + width)
+
+    def test_shared_root_classes_cancel(self):
+        d = shared_root()
+        scale, e, classes = recurrences(d)
+        assert [(c1, c2) for c1, c2, _, _ in classes] == [(3, -2), (1, 2)]
+        # each class's own residual at n = 1 is L_1 - L_0 = +-1, not 0
+        for c1, c2, (l0, l1), _ in classes:
+            assert abs(Fraction(l1, e * scale) - Fraction(l0, e)) == 1
+        for n_lo in (0, 2):
+            assert verify(d, n_lo, 512).passed
+        for m in coefficient_mutants(d):
+            for n_lo, n_hi in ((0, 6), (2, 9)):
+                assert_matches_reference(m, n_lo, n_hi)
+
+    @pytest.mark.parametrize("n_lo", [0, 2, 5])
+    def test_first_failure_at_the_bound(self, n_lo):
+        d = late_failure(n_lo)
+        assert proof_bound(d) == 4
+        assert verify(d, n_lo, n_lo + 3).passed
+        for n_hi in (n_lo + 4, n_lo + 5, 64):
+            report = assert_matches_reference(d, n_lo, n_hi)
+            assert report.first_failure[0] == n_lo + 4
+
+    def test_passing_sweep_draws_at_most_b_residuals(self, monkeypatch):
+        residuals = engine._residuals
+        drawn = []
+
+        def counted(d, rec):
+            delta, rhos = residuals(d, rec)
+            return delta, (drawn.append(rho) or rho for rho in rhos)
+
+        monkeypatch.setattr(engine, "_residuals", counted)
+        descriptors = [e.descriptor for e in all_entries()] + [shared_root(), geometric_ones()]
+        descriptors += list(islice(fuzz_descriptors(1), 50))
+        for d in descriptors:
+            drawn.clear()
+            assert verify(d, d.n_min, 512).passed, d.id
+            # the n_min residuals up to n_lo are carried, and the sweep draws at most B
+            assert len(drawn) <= d.n_min + proof_bound(d), d.id
+
+
 class TestTotalReach:
     """The reaches of a descriptor's terms add up to at most MAX_TOTAL_REACH."""
 
@@ -463,6 +621,38 @@ class TestFuzz:
         reports = fuzz_theorem1(cfg)
         assert all(r.status != "fail" for r in reports)
         assert all((r.n_lo, r.n_hi) == (3, 12) for r in reports)
+
+
+def reference_labels(cfg, theorem):
+    """The report ids of fuzz_theorem1/2 as the draw loops first built them:
+    the pool's values drawn in the same order, formatted per instance."""
+    rng = random.Random(cfg.seed)
+    pool = tuple(cfg.coefficient_pool)
+    nonzero = tuple(q for q in pool if q != 0)
+    labels = []
+    for idx in range(cfg.instance_count):
+        c1 = rng.choice(pool)
+        c2 = rng.choice(nonzero)
+        if theorem == 1:
+            x1 = rng.choice(pool)
+            labels.append(f"t1#{idx}(c1={format_rational(c1)},c2={format_rational(c2)},x1={format_rational(x1)})")
+            continue
+        x0 = rng.choice(pool)
+        x1 = rng.choice(pool)
+        k = rng.randint(*cfg.k_range)
+        labels.append(
+            f"t2#{idx}(c1={format_rational(c1)},c2={format_rational(c2)},"
+            f"x0={format_rational(x0)},x1={format_rational(x1)},k={k})"
+        )
+    return labels
+
+
+class TestFuzzLabels:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_report_ids_match_the_formatted_draws(self, seed):
+        cfg = FuzzConfig(seed=seed, instance_count=1000)
+        assert [r.id for r in fuzz_theorem2(cfg)] == reference_labels(cfg, 2)
+        assert [r.id for r in fuzz_theorem1(cfg)] == reference_labels(cfg, 1)
 
 
 class TestReportLine:
