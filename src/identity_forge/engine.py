@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from math import gcd, lcm
 
-from .numeric import ensure_fraction, lowest_terms, rat_pow
+from .numeric import ensure_fraction, fraction_fields, lowest_terms, rat_pow
 from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, int_window, step_scale
 from .sequences import stride_recurrence, term, window
 
@@ -63,8 +63,7 @@ class GeometricTerm:
     offset: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coef", ensure_fraction(self.coef))
-        object.__setattr__(self, "ratio", ensure_fraction(self.ratio))
+        fraction_fields(self, "coef", "ratio")
         if self.stride < 0:
             raise ValueError("stride must be >= 0")
 
@@ -79,7 +78,7 @@ class Summand:
     offset: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coef", ensure_fraction(self.coef))
+        fraction_fields(self, "coef")
         if self.stride < 0:
             raise ValueError("stride must be >= 0")
 
@@ -94,10 +93,9 @@ class SumSide:
     summands: tuple[Summand, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outer_coef", ensure_fraction(self.outer_coef))
-        object.__setattr__(self, "outer_ratio", ensure_fraction(self.outer_ratio))
-        object.__setattr__(self, "beta", ensure_fraction(self.beta))
-        object.__setattr__(self, "summands", tuple(self.summands))
+        fraction_fields(self, "outer_coef", "outer_ratio", "beta")
+        if not isinstance(self.summands, tuple):
+            object.__setattr__(self, "summands", tuple(self.summands))
 
 
 @dataclass(frozen=True)
@@ -111,38 +109,13 @@ class IdentityDescriptor:
     citation: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(self.lhs))
+        if not isinstance(self.lhs, tuple):
+            object.__setattr__(self, "lhs", tuple(self.lhs))
         if self.n_min < 0:
             raise ValueError("n_min must be >= 0")
 
 
 _ONE = Fraction(1)
-
-
-def _unscaled(t) -> tuple[tuple[int, int], tuple[int, int], int, int, int, int]:
-    """(a, b, u, v, p, q): the values of t, a GeometricTerm or a Summand, are
-    coef * r^m * Y_m with Y obeying (a, b) from Y_0 = u/p and Y_1 = v/q, a
-    and b given as (numerator, denominator) in lowest terms: the stride
-    subsequence of t's sequence, or with no sequence, or stride 0, the
-    constant X_offset, (a, b) = (1, 0)."""
-    if t.seq is None:
-        return (1, 1), (0, 1), 1, 1, 1, 1
-    if t.stride == 0:
-        u, _, p, _ = int_window(t.seq, t.offset)
-        return (1, 1), (0, 1), u, u, p, p
-    if t.stride == 1:
-        return (t.seq.c1.as_integer_ratio(), t.seq.c2.as_integer_ratio(), *int_window(t.seq, t.offset))
-    a, b, y0, y1 = stride_recurrence(t.seq, t.stride, t.offset)
-    return a.as_integer_ratio(), b.as_integer_ratio(), y0.numerator, y1.numerator, y0.denominator, y1.denominator
-
-
-def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x + y, each a fraction as the ints (numerator, denominator), not reduced."""
-    (n, p), (m, q) = x, y
-    if p == q:
-        return n + m, p
-    k = lcm(p, q)
-    return n * (k // p) + m * (k // q), k
 
 
 def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, Fraction, tuple, tuple]]]:
@@ -160,41 +133,66 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
     Everything runs on ints: each element's window comes from
     :func:`sequences.int_window` as ints over their denominators, and its
     coef multiplies both. An element of unscaled recurrence (a, b) and ratio
-    r is a walk of (a*r, b*r^2) from the seeds (y0, r*y1); the class key is
-    the ints of (a*r, b*r^2) in lowest terms, and c1 and c2 are the only
-    fractions built, two per class. D is the lcm of the classes'
-    :func:`sequences.step_scale` and E that of the seeds' reduced
-    denominators, and a side's seeds are the ints (E*y0, E*D*y1): a
-    :func:`sequences.int_walk` on scale D from them yields E*D^m times the
-    side's class walk at m.
+    r is a walk of (a*r, b*r^2) from the seeds (y0, r*y1): the stride
+    subsequence of its sequence (:func:`sequences.stride_recurrence`), or
+    with no sequence, or stride 0, the constant X_offset, (a, b) = (1, 0).
+    The class key is the ints of (a*r, b*r^2) in lowest terms. A class adds
+    its elements' seeds as numerators over unreduced denominators, directly
+    where the denominators are equal, and reduces only its final seeds. D is
+    the lcm of the classes' :func:`sequences.step_scale` and E that of the
+    reduced seed denominators, and a side's seeds are the ints
+    (E*y0, E*D*y1): a :func:`sequences.int_walk` on scale D from them
+    yields E*D^m times the side's class walk at m.
     """
     rhs = d.rhs
     c, ratio, beta = rhs.outer_coef, rhs.outer_ratio, rhs.beta
-    g = lowest_terms(ratio.numerator * beta.numerator, ratio.denominator * beta.denominator)
-    elements = [(0, *t.coef.as_integer_ratio(), t.ratio.as_integer_ratio(), t) for t in d.lhs]
+    gn, gd = lowest_terms(ratio.numerator * beta.numerator, ratio.denominator * beta.denominator)
+    elements = [(0, *t.coef.as_integer_ratio(), *t.ratio.as_integer_ratio(), t) for t in d.lhs]
     elements += [
-        (1, c.numerator * s.coef.numerator, c.denominator * s.coef.denominator, g, s) for s in rhs.summands
+        (1, c.numerator * s.coef.numerator, c.denominator * s.coef.denominator, gn, gd, s)
+        for s in rhs.summands
     ]
-    zero = ((0, 1), (0, 1))
-    # [lhs seeds, sum seeds] per class; a dict keeps the order classes are found in
+    # per class key, the LHS seeds and the sum seeds, each (n0, p0, n1, p1) for y0 = n0/p0 and
+    # y1 = n1/p1 with p0 and p1 not reduced; a dict keeps the order classes are found in
     classes = {}
-    for side, num, den, (rn, rd), t in elements:
-        (an, ad), (bn, bd), u, v, p, q = _unscaled(t)
-        if rn != rd:  # r != 1
-            (an, ad), (bn, bd) = lowest_terms(an * rn, ad * rd), lowest_terms(bn * rn * rn, bd * rd * rd)
-        seeds = classes.setdefault((an, ad, bn, bd), [zero, zero])
-        y0, y1 = seeds[side]
-        seeds[side] = _plus(y0, (num * u, den * p)), _plus(y1, (rn * num * v, rd * den * q))
-    classes = [(key, *([lowest_terms(*y) for y in seeds] for seeds in both)) for key, both in classes.items()]
-    e = lcm(*(p for _, *both in classes for seeds in both for _, p in seeds))
-    scale = lcm(*(step_scale(ad, bd) for (_, ad, _, bd), _, _ in classes))
-
-    def ints(seeds):
-        (n0, p0), (n1, p1) = seeds
-        return n0 * (e // p0), n1 * (e * scale // p1)
-
+    for side, num, den, rn, rd, t in elements:
+        x, stride = t.seq, t.stride
+        if x is None or stride == 0:
+            u, _, p, _ = (1, 1, 1, 1) if x is None else int_window(x, t.offset)
+            key, v, q = (rn, rd, 0, 1), u, p
+        else:
+            if stride == 1:
+                (an, ad), (bn, bd) = x.c1.as_integer_ratio(), x.c2.as_integer_ratio()
+                u, v, p, q = int_window(x, t.offset)
+            else:
+                a, b, y0, y1 = stride_recurrence(x, stride, t.offset)
+                (an, ad), (bn, bd), (u, p), (v, q) = (y.as_integer_ratio() for y in (a, b, y0, y1))
+            if rn != rd:  # r != 1
+                an, ad = lowest_terms(an * rn, ad * rd)
+                bn, bd = lowest_terms(bn * rn * rn, bd * rd * rd)
+            key = an, ad, bn, bd
+        n0, p0, n1, p1 = num * u, den * p, rn * num * v, rd * den * q
+        both = classes.setdefault(key, [(0, 1, 0, 1), (0, 1, 0, 1)])
+        m0, q0, m1, q1 = both[side]
+        n0, p0 = (m0 + n0, p0) if q0 == p0 else (m0 * p0 + n0 * q0, q0 * p0)
+        n1, p1 = (m1 + n1, p1) if q1 == p1 else (m1 * p1 + n1 * q1, q1 * p1)
+        both[side] = n0, p0, n1, p1
+    scale = e = 1
+    for (_, ad, _, bd), both in classes.items():
+        for i, (n0, p0, n1, p1) in enumerate(both):
+            (n0, p0), (n1, p1) = lowest_terms(n0, p0), lowest_terms(n1, p1)
+            both[i] = n0, p0, n1, p1
+            e = lcm(e, p0, p1)
+        scale = lcm(scale, step_scale(ad, bd))
+    es = e * scale
     return scale, e, [
-        (Fraction(an, ad), Fraction(bn, bd), ints(lhs), ints(sums)) for (an, ad, bn, bd), lhs, sums in classes
+        (
+            Fraction(an, ad),
+            Fraction(bn, bd),
+            (l0 * (e // p0), l1 * (es // p1)),
+            (s0 * (e // q0), s1 * (es // q1)),
+        )
+        for (an, ad, bn, bd), ((l0, p0, l1, p1), (s0, q0, s1, q1)) in classes.items()
     ]
 
 
@@ -213,17 +211,20 @@ def _residuals(d: IdentityDescriptor, rec):
     at n = 1 and 2; :func:`first_difference` reads its proof bound off that. With
     L~_n = E*D^n*L^G_n and S~_n the ints of G's walks, its seeds
     den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1} at n = 1
-    and 2 come from their first three ints.
+    and 2 come from their first three ints, the third one step of G's integer
+    recurrence (c1*D, c2*D^2) on from the seeds.
     """
     scale, _, classes = rec
     r = d.rhs.outer_ratio
     p, q = r.numerator * scale, r.denominator
     delta, walks = 0, []
-    for c1, c2, lhs_seeds, sum_seeds in classes:
-        l0, l1, l2 = islice(int_walk(c1, c2, scale, *lhs_seeds), 3)
-        s0, s1, s2 = islice(int_walk(c1, c2, scale, *sum_seeds), 3)
+    for c1, c2, (l0, l1), (s0, s1) in classes:
+        a, b = c1.numerator * (scale // c1.denominator), c2.numerator * (scale * scale // c2.denominator)
+        l2, s2 = a * l1 + b * l0, a * s1 + b * s0
         delta += l0 - s0
-        walks.append(int_walk(c1, c2, scale, q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
+        walks.append(int_walk(a, b, 1, q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
+    if len(walks) == 1:
+        return delta, walks[0]
     return delta, map(sum, zip(*walks)) if walks else repeat(0)
 
 
@@ -245,20 +246,30 @@ def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
 
     Delta_{n_lo} comes from :func:`_carried`; past n_lo the first n with
     Delta_n != 0 is the first with rho_n != 0. The sweep stops at the proof
-    bound: it tests rho only on (n_lo, min(n_hi, n_lo + B)], with B = 2 times
-    the number of classes, one int step per class and one zero test per n.
+    bound: it tests rho only on (n_lo, min(n_hi, n_lo + B)], with B the sum
+    over classes of 1 where c2 = 0 and 2 otherwise, one int step per class
+    and one zero test per n.
 
     Proof that those B residuals decide the whole range: each class's stream
     in :func:`_residuals` is an :func:`sequences.int_walk` of its recurrence
     (c1*D, c2*D^2) from n = 1, so it obeys that recurrence for n >= 3, that
     is, its monic operator S^2 - c1*D*S - c2*D^2 (S the shift) kills it from
-    n = 1 on. The product of the classes' operators, monic of order B,
-    therefore kills their sum, so for n >= B + 1 rho_n is a fixed combination
-    of the B residuals before it. If rho is 0 at n_lo + 1, ..., n_lo + B, with
-    n_lo >= 0, each later rho_n, n >= n_lo + B + 1 >= B + 1, is then 0 as
-    well, up to n_hi and beyond; so any first nonzero rho past n_lo lies among
-    the first B, and a range whose first B residuals are 0 has no
-    counterexample past n_lo.
+    n = 1 on. A class with c2 = 0 holds only geometric, stride-0 and ratio-0
+    elements (:func:`recurrences`): each is a walk of (c1, 0), c1 being the
+    element's ratio, whose values are its first one times c1^m, so its seed
+    ints satisfy W_1 = (c1*D)*W_0. By linearity so do the class's summed
+    seed ints, so L~_{m+1} = c1*D*L~_m and S~_{m+1} = c1*D*S~_m for m >= 0,
+    and the stream's seeds, den(r)*(L~_1 - S~_1) - num(r)*D*L~_0 at n = 1
+    and the same with every index one higher at n = 2, satisfy
+    rho_2 = c1*D*rho_1 in its ints. That class's stream is then c1*D times
+    the one before it from n = 1, so the operator S - c1*D, of order 1,
+    kills it from n = 1 on. The product of the classes' operators, monic of
+    order B, therefore kills their sum, so for n >= B + 1 rho_n is a fixed
+    combination of the B residuals before it. If rho is 0 at n_lo + 1, ...,
+    n_lo + B, with n_lo >= 0, each later rho_n, n >= n_lo + B + 1 >= B + 1,
+    is then 0 as well, up to n_hi and beyond; so any first nonzero rho past
+    n_lo lies among the first B, and a range whose first B residuals are 0
+    has no counterexample past n_lo.
 
     At the first nonzero rho_n, Delta_{n-1} = 0 and Delta_n = rho_n, so the
     witness is (n, L_n, L_n - rho_n), L_n read by one skip of each class's
@@ -269,7 +280,8 @@ def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
     delta, rhos = _carried(d, rec, n_lo)
     n = n_lo
     if not delta:
-        for n, rho in zip(range(n_lo + 1, min(n_hi, n_lo + 2 * len(classes)) + 1), rhos):
+        bound = sum(1 if c2 == 0 else 2 for _, c2, _, _ in classes)
+        for n, rho in zip(range(n_lo + 1, min(n_hi, n_lo + bound) + 1), rhos):
             if rho:
                 delta = Fraction(rho, d.rhs.outer_ratio.denominator * e * scale ** n)
                 break

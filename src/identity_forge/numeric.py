@@ -56,6 +56,15 @@ def ensure_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def fraction_fields(obj, *names: str) -> None:
+    """Coerce the named fields of a frozen dataclass instance with
+    ensure_fraction, skipping any that already hold a Fraction."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, Fraction):
+            object.__setattr__(obj, name, ensure_fraction(value))
+
+
 def parse_int(text: str) -> int:
     """int(text), refusing more than MAX_DIGITS digits with DigitLimitError,
     which does not echo the literal."""
@@ -121,8 +130,7 @@ class Mat2:
     d: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, ensure_fraction(getattr(self, name)))
+        fraction_fields(self, "a", "b", "c", "d")
 
 
 MAT2_IDENTITY = Mat2(1, 0, 0, 1)

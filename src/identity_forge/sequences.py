@@ -9,12 +9,13 @@ with negative indices reached through the inverted step
 X_{n-2} = (X_n - c1*X_{n-1}) / c2, which is well defined because c2 != 0.
 Definitions are immutable values with no cache, so callers share no state.
 
-One kernel, :func:`int_walk`, steps every second-order recurrence in the
-package: single terms and windows (:func:`int_window`), subsequence seeds,
-and the recurrence classes and residual sweep of :mod:`engine`. It runs
-on plain ints: with E the lcm of the denominators of the start values and D
-the lcm of den(c1) and den(c2), or of den(c1) and sqrt(den(c2)) when den(c2)
-is a perfect square, W_m = E*D^m*Y_m obeys
+One kernel, :func:`int_walk` with its skip :func:`_skip`, steps every
+second-order recurrence in the package: single terms and windows
+(:func:`int_window`), subsequence seeds, and the recurrence classes and
+residual sweep of :mod:`engine`. It runs on plain ints: with E the lcm of
+the denominators of the start values and D the lcm of den(c1) and den(c2),
+or of den(c1) and sqrt(den(c2)) when den(c2) is a perfect square,
+W_m = E*D^m*Y_m obeys
 W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are integers, so
 no step reduces a fraction. Any multiples of that D and E serve as well, so a
 caller may put several walks on one common scale and combine their ints
@@ -35,7 +36,7 @@ from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
 from operator import mul
 
-from .numeric import ensure_fraction, lowest_terms, quote, rat_pow
+from .numeric import ensure_fraction, fraction_fields, lowest_terms, quote, rat_pow
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class SequenceDef:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("c1", "c2", "x0", "x1"):
-            object.__setattr__(self, name, ensure_fraction(getattr(self, name)))
+        fraction_fields(self, "c1", "c2", "x0", "x1")
         if self.c2 == 0:
             raise ValueError("c2 must be nonzero (the recurrence must be second order)")
 
@@ -83,15 +83,17 @@ def step_scale(p1: int, p2: int) -> int:
 
 
 def _scaled_ints(c1, c2, y0, y1, m: int):
-    """(D, E, ints): the least scale of a walk from (y0, y1) and its ints from
-    W_m on (:func:`int_walk`), refusing a skip of m past MAX_INDEX; c1, c2,
-    y0 and y1 are given as (numerator, denominator) pairs in lowest terms."""
+    """(D, E, a, b, W_m, W_{m+1}): the least scale of a walk from (y0, y1),
+    its int coefficients (a, b) = (c1*D, c2*D^2) and its ints at m and m + 1
+    (:func:`int_walk`), refusing a skip of m past MAX_INDEX; c1, c2, y0 and
+    y1 are given as (numerator, denominator) pairs in lowest terms."""
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
     (n1, p1), (n2, p2), (u0, q0), (u1, q1) = c1, c2, y0, y1
     d, e = step_scale(p1, p2), lcm(q0, q1)
     # the walk of (c1, c2) on scale d is that of the ints (c1*d, c2*d^2) on scale 1
-    return d, e, int_walk(n1 * (d // p1), n2 * (d * d // p2), 1, u0 * (e // q0), u1 * (e * d // q1), m)
+    a, b = n1 * (d // p1), n2 * (d * d // p2)
+    return d, e, a, b, *_skip(a, b, u0 * (e // q0), u1 * (e * d // q1), m)
 
 
 def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
@@ -101,8 +103,15 @@ def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
     (see the module docstring); the fractions Y_j are read off them. c2 may
     be 0: (r, 0) from (z, z*r) is the geometric z*r^j.
     """
-    d, e, ints = _scaled_ints(*(y.as_integer_ratio() for y in (c1, c2, y0, y1)), m)
-    return map(Fraction, ints, accumulate(repeat(d), mul, initial=e * d ** m))
+    d, e, a, b, lo, hi = _scaled_ints(*(y.as_integer_ratio() for y in (c1, c2, y0, y1)), m)
+    return map(Fraction, int_walk(a, b, 1, lo, hi), accumulate(repeat(d), mul, initial=e * d ** m))
+
+
+def _skip(a: int, b: int, lo: int, hi: int, m: int) -> tuple[int, int]:
+    """(W_m, W_{m+1}) of W_j = a*W_{j-1} + b*W_{j-2} from (W_0, W_1) = (lo, hi)."""
+    for _ in range(m):
+        lo, hi = hi, a * hi + b * lo
+    return lo, hi
 
 
 def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
@@ -110,14 +119,14 @@ def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
     the ints (W_0, W_1) = (lo, hi), where c1*d and c2*d^2 are ints; c1 and c2
     are Fractions or ints.
 
-    This is the package's one recurrence loop: it steps the ints E*d^j*Y_j of
-    any walk on a scale (d, E). The caller bounds m (:func:`walk` and
-    :func:`int_window` by MAX_INDEX).
+    With :func:`_skip`, which takes its first m steps and reads a window
+    without a generator, this is the package's one recurrence loop: it steps
+    the ints E*d^j*Y_j of any walk on a scale (d, E). The caller bounds m
+    (:func:`walk` and :func:`int_window` by MAX_INDEX).
     """
     a = c1.numerator * (d // c1.denominator)
     b = c2.numerator * (d * d // c2.denominator)
-    for _ in range(m):
-        lo, hi = hi, a * hi + b * lo
+    lo, hi = _skip(a, b, lo, hi, m)
     while True:
         yield lo
         lo, hi = hi, a * hi + b * lo
@@ -146,8 +155,7 @@ def int_window(seq: SequenceDef, n: int) -> tuple[int, int, int, int]:
             lowest_terms((u1 * p1 * q0 - n1 * u0 * q1) * p2, q1 * p1 * q0 * n2),
             -n - 1,
         )
-    d, e, ints = _scaled_ints(c1, c2, x0, x1, m)
-    lo, hi = next(ints), next(ints)
+    d, e, _, _, lo, hi = _scaled_ints(c1, c2, x0, x1, m)
     den = e * d ** m
     return (lo, hi, den, den * d) if n >= 0 else (hi, lo, den * d, den)
 

@@ -10,7 +10,6 @@ the sum is rendered in the classical t^(n-i) presentation.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
@@ -42,6 +41,8 @@ def _seq_doc(seq: SequenceDef | None):
 
 def to_json(d: IdentityDescriptor, indent: int | None = 2) -> str:
     """Serialize with a fixed key order; output is deterministic."""
+    import json  # imported here, not at module level: only the --json paths use it
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "id": d.id,
@@ -136,6 +137,8 @@ def _seq_from(doc, where: str) -> SequenceDef | None:
 
 def from_json(text: str) -> IdentityDescriptor:
     """Parse a descriptor document, re-canonicalizing any unreduced rationals."""
+    import json  # imported here, not at module level: only the --json paths use it
+
     try:
         doc = json.loads(text, parse_int=parse_int)
     except (ValueError, RecursionError) as exc:  # bad syntax, an overlong int, deep nesting

@@ -76,29 +76,32 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
 
     The sweep and its witness are :func:`engine.first_difference`. Its walks
     are seeded at X_offset and step n to at most n_hi (a passing sweep stops
-    at its proof bound n_lo + B, B = 2 per recurrence class, with the verdict
-    of the whole range), so a range whose n_hi or any |stride*n + offset| at
-    n in {0, n_hi} exceeds MAX_INDEX is rejected before anything is walked.
-    So is one whose terms' reaches add up past MAX_TOTAL_REACH, a term's
-    reach being the largest of n_hi, the |index| of its seeds X_offset and
-    X_{offset+stride} and |stride*n_hi + offset|: a term's walks step no
-    further than that, so their sum bounds the work of the descriptor's
-    set-up and sweep together. Both limits are contracts on the range asked
-    for, whatever part of it the sweep walks.
+    at its proof bound n_lo + B, B = 2 per recurrence class or 1 per class
+    with c2 = 0, with the verdict of the whole range), so a range whose n_hi
+    or any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is
+    rejected before anything is walked. So is one whose terms' reaches add
+    up past MAX_TOTAL_REACH, a term's reach being the largest of n_hi, the
+    |index| of its seeds X_offset and X_{offset+stride} and
+    |stride*n_hi + offset|: a term's walks step no further than that, so
+    their sum bounds the work of the descriptor's set-up and sweep together.
+    Both limits are contracts on the range asked for, whatever part of it
+    the sweep walks.
     """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
             f"bad range: need n_min={d.n_min} <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
         )
     terms = (*d.lhs, *d.rhs.summands)
-    reach = max([n_hi] + [abs(t.stride * n + t.offset) for t in terms for n in (0, n_hi)])
+    reach, total = n_hi, 0
+    for t in terms:
+        stride, offset = t.stride, t.offset
+        ends = max(abs(offset), abs(stride * n_hi + offset))
+        reach = max(reach, ends)
+        total += max(n_hi, ends, abs(stride + offset))
     if reach > MAX_INDEX:
         raise ValueError(
             f"range [{n_lo}, {n_hi}] reaches index {reach}, beyond the limit of {MAX_INDEX}"
         )
-    total = sum(
-        max(n_hi, abs(t.offset), abs(t.stride + t.offset), abs(t.stride * n_hi + t.offset)) for t in terms
-    )
     if total > MAX_TOTAL_REACH:
         raise ValueError(
             f"range [{n_lo}, {n_hi}] has its {len(terms)} terms reach {total} indices in all, "

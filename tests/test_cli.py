@@ -774,6 +774,34 @@ def test_startup_loads_no_network_stack(tmp_path, argv):
     assert not added & set(_CONCURRENCY_MODULES)
 
 
+# _IMPORTS_SCRIPT imports json itself; this one writes the module names as lines
+_MODULES_SCRIPT = """
+import sys
+import identity_forge.cli
+identity_forge.cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    out.write("\\n".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    (("seq-eval", "--family", "lucas", "--n", "500"), False),
+    (("catalog", "verify-all", "--n-max", "8"), False),
+    (("fuzz", "--seed", "1", "--count", "20", "--theorem", "both"), False),
+    (("generate", "--family", "pell", "--k", "2", "--json"), True),
+], ids=["seq-eval", "catalog-verify-all", "fuzz-both", "generate-json"])
+def test_only_the_json_paths_load_json(tmp_path, argv, loads_json):
+    out = tmp_path / "modules.txt"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULES_SCRIPT, str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ("json" in out.read_text().split("\n")) == loads_json
+
+
 def test_custom_sequence_verification_pipeline(capsys, tmp_path):
     # generate --json, save, verify: the full scripting loop
     code = cli.main(["generate", "--family", "pell", "--k", "2", "--json"])

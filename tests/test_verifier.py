@@ -270,6 +270,39 @@ class TestResidualSweep:
             assert_matches_reference(d, n_lo, n_lo + 1)
 
 
+# two sequences equal to 2^n at every integer n, of the recurrences (3, -2)
+# and (1, 2), whose roots {1, 2} and {2, -1} share the root 2
+POWERS_OF_TWO = (SequenceDef(3, -2, 1, 2), SequenceDef(1, 2, 1, 2))
+# Fibonacci and Jacobsthal, equal at n = 0, 1, 2 only
+NEAR_MISS = (FIBONACCI, SequenceDef(1, 2, 0, 1))
+TERM_SEQS = (*POWERS_OF_TWO, FIBONACCI, RATIONAL)
+small_coefs = st.sampled_from([Fraction(v) for v in (-1, 1, 2, Fraction(-3, 2))])
+ratios = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))])
+strides = st.integers(0, 3)
+offsets = st.integers(-2, 2)
+lhs_terms = st.builds(GeometricTerm, small_coefs, ratios, st.sampled_from((None, *TERM_SEQS)), strides, offsets)
+summands = st.builds(Summand, small_coefs, st.sampled_from(TERM_SEQS), strides, offsets)
+
+
+@st.composite
+def drawn_descriptors(draw):
+    """1-3 terms on either side, maybe two of them a pair of LHS terms that
+    are equal but for sign: at every n on POWERS_OF_TWO, and at the first
+    few n at most on NEAR_MISS, so that the sides may first differ past n_lo."""
+    lhs, sums = [], []
+    pair = draw(st.sampled_from((None, POWERS_OF_TWO, NEAR_MISS)))
+    if pair is not None:
+        coef, ratio, stride, offset = draw(small_coefs), draw(ratios), draw(strides), draw(offsets)
+        lhs += [GeometricTerm(sign * coef, ratio, x, stride, offset) for sign, x in zip((1, -1), pair)]
+    for _ in range(draw(st.integers(0 if lhs else 1, 3 - len(lhs)))):
+        if draw(st.booleans()):
+            lhs.append(draw(lhs_terms))
+        else:
+            sums.append(draw(summands))
+    side = SumSide(draw(small_coefs), draw(ratios), draw(ratios), sums)
+    return IdentityDescriptor("drawn", lhs, side)
+
+
 def fuzz_descriptors(seed):
     """Every descriptor that fuzz --seed SEED --count 1000 --theorem both verifies."""
     cfg = FuzzConfig(seed=seed, instance_count=1000)
@@ -325,6 +358,12 @@ class TestClassSetUp:
         for x, k in ((A015530, 2000), (RATIONAL, -1500)):
             self.assert_classes_match(theorem2_descriptor(x, k), 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_descriptors(), st.integers(0, 3))
+    def test_drawn_descriptors(self, d, n_lo):
+        # ratio 0, strides 0-3, rational coefficients, geometric and shared-root terms
+        self.assert_classes_match(d, n_lo)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_theorem1_is_theorem2_at_zero(self, seed):
         for _, a in theorem1_instances(FuzzConfig(seed=seed, instance_count=1000)):
@@ -361,13 +400,6 @@ class TestClassSetUp:
         assert len(calls) == 1
 
 
-# two sequences equal to 2^n at every integer n, of the recurrences (3, -2)
-# and (1, 2), whose roots {1, 2} and {2, -1} share the root 2
-POWERS_OF_TWO = (SequenceDef(3, -2, 1, 2), SequenceDef(1, 2, 1, 2))
-# Fibonacci and Jacobsthal, equal at n = 0, 1, 2 only
-NEAR_MISS = (FIBONACCI, SequenceDef(1, 2, 0, 1))
-
-
 def shared_root():
     """2^n - 2^n = 0 with each 2^n on its own recurrence: the two classes'
     residuals are nonzero, 2^(n-1) and -2^(n-1), and cancel."""
@@ -377,17 +409,23 @@ def shared_root():
     )
 
 
-def late_failure(n_lo):
-    """A two-class descriptor (B = 4) whose sides agree on [0, n_lo + 3] and
-    differ first at n_lo + 4.
+def late_failure(n_lo, geometric=False):
+    """A descriptor whose sides agree on [n_lo, n_lo + B - 1] and differ
+    first at n_lo + B, B its proof bound.
 
-    The sum side sums S_i = sum_j a_j*lam_j^i over the roots lam = 1, 2 of
-    (3, -2) and 3, 4 of (7, -12), with a_j = lam_j^-(n_lo+1) / prod_{k != j}
+    The sum side sums S_i = sum_j a_j*lam_j^i over the B roots lam of its
+    summands' classes, with a_j = lam_j^-(n_lo+1) / prod_{k != j}
     (lam_j - lam_k), so that S_{n_lo+1+m} is the complete homogeneous
-    symmetric polynomial h_{m-3} of the roots: 0 for m = 0, 1, 2 and 1 for
-    m = 3. The LHS is the constant sum_{i <= n_lo} S_i, a walk of (3, -2).
+    symmetric polynomial h_{m-B+1} of the roots: 0 for m < B - 1 and 1 for
+    m = B - 1. The LHS is the constant sum_{i <= n_lo} S_i, in a class of
+    root 1. By default the roots are 1, 2 of (3, -2) and 3, 4 of (7, -12),
+    two order-2 classes (B = 4), and the LHS is a walk of (3, -2). With
+    geometric, they are 2, 3 of (5, -6) and the root 1 of a stride-0
+    summand, whose class (1, 0) is also that of the LHS, a geometric term
+    of ratio 1: one order-2 class and one of order 1 (B = 3).
     """
-    lams = [Fraction(v) for v in (1, 2, 3, 4)]
+    pairs = ((2, 3),) if geometric else ((1, 2), (3, 4))
+    lams = [Fraction(v) for pair in pairs for v in pair] + ([Fraction(1)] if geometric else [])
     a = []
     for j, lam in enumerate(lams):
         den = lam ** (n_lo + 1)
@@ -395,52 +433,28 @@ def late_failure(n_lo):
             if k != j:
                 den *= lam - other
         a.append(1 / den)
-    low = SequenceDef(3, -2, a[0] + a[1], a[0] + 2 * a[1])
-    high = SequenceDef(7, -12, a[2] + a[3], 3 * a[2] + 4 * a[3])
-    head = sum(term(low, i) + term(high, i) for i in range(n_lo + 1))
-    constant = SequenceDef(3, -2, head, head)
-    return IdentityDescriptor(
-        f"late-failure[{n_lo}]",
-        (GeometricTerm(1, 1, constant, 1, 0),),
-        SumSide(1, 1, 1, (Summand(1, low, 1, 0), Summand(1, high, 1, 0))),
-    )
+    seqs = [
+        SequenceDef(x + y, -x * y, a[2 * i] + a[2 * i + 1], x * a[2 * i] + y * a[2 * i + 1])
+        for i, (x, y) in enumerate(pairs)
+    ]
+    summands = [Summand(1, x, 1, 0) for x in seqs]
+    if geometric:  # the constant a[2], X_0 of any sequence at stride 0
+        summands.append(Summand(a[2], FIBONACCI, 0, 2))
+    head = sum(a[j] * lam ** i for i in range(n_lo + 1) for j, lam in enumerate(lams))
+    if geometric:
+        constant = GeometricTerm(head, 1)
+    else:
+        constant = GeometricTerm(1, 1, SequenceDef(3, -2, head, head), 1, 0)
+    return IdentityDescriptor(f"late-failure[{n_lo}]", (constant,), SumSide(1, 1, 1, summands))
 
 
 def proof_bound(d):
-    return 2 * len(recurrences(d)[2])
-
-
-TERM_SEQS = (*POWERS_OF_TWO, FIBONACCI, RATIONAL)
-small_coefs = st.sampled_from([Fraction(v) for v in (-1, 1, 2, Fraction(-3, 2))])
-ratios = st.sampled_from([Fraction(v) for v in (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))])
-strides = st.integers(0, 3)
-offsets = st.integers(-2, 2)
-lhs_terms = st.builds(GeometricTerm, small_coefs, ratios, st.sampled_from((None, *TERM_SEQS)), strides, offsets)
-summands = st.builds(Summand, small_coefs, st.sampled_from(TERM_SEQS), strides, offsets)
-
-
-@st.composite
-def drawn_descriptors(draw):
-    """1-3 terms on either side, maybe two of them a pair of LHS terms that
-    are equal but for sign: at every n on POWERS_OF_TWO, and at the first
-    few n at most on NEAR_MISS, so that the sides may first differ past n_lo."""
-    lhs, sums = [], []
-    pair = draw(st.sampled_from((None, POWERS_OF_TWO, NEAR_MISS)))
-    if pair is not None:
-        coef, ratio, stride, offset = draw(small_coefs), draw(ratios), draw(strides), draw(offsets)
-        lhs += [GeometricTerm(sign * coef, ratio, x, stride, offset) for sign, x in zip((1, -1), pair)]
-    for _ in range(draw(st.integers(0 if lhs else 1, 3 - len(lhs)))):
-        if draw(st.booleans()):
-            lhs.append(draw(lhs_terms))
-        else:
-            sums.append(draw(summands))
-    side = SumSide(draw(small_coefs), draw(ratios), draw(ratios), sums)
-    return IdentityDescriptor("drawn", lhs, side)
+    return sum(1 if c2 == 0 else 2 for _, c2, _, _ in recurrences(d)[2])
 
 
 class TestProofBound:
-    """The sweep stops at n_lo + B, B = 2 per class, with the verdict and
-    witness of a sweep of the whole range."""
+    """The sweep stops at n_lo + B, B = 2 per class or 1 per class with
+    c2 = 0, with the verdict and witness of a sweep of the whole range."""
 
     def test_catalog_and_coefficient_mutants(self):
         count = 0
@@ -461,7 +475,8 @@ class TestProofBound:
             for d in (e.descriptor, *coefficient_mutants(e.descriptor)):
                 for n_lo in (d.n_min, d.n_min + 2):
                     assert swept_first_failure(d, n_lo, n_lo + 3) == brute_first_failure(d, n_lo, n_lo + 3)
-        for d in (ZERO_RATIO, eq4_ones(), geometric_ones(), MIXED, shared_root(), late_failure(1)):
+        late = (late_failure(1), late_failure(1, geometric=True))
+        for d in (ZERO_RATIO, eq4_ones(), geometric_ones(), MIXED, shared_root(), *late):
             for n_lo in (0, 1, 3):
                 assert swept_first_failure(d, n_lo, n_lo + 7) == brute_first_failure(d, n_lo, n_lo + 7), d.id
 
@@ -490,12 +505,13 @@ class TestProofBound:
 
     @pytest.mark.parametrize("n_lo", [0, 2, 5])
     def test_first_failure_at_the_bound(self, n_lo):
-        d = late_failure(n_lo)
-        assert proof_bound(d) == 4
-        assert verify(d, n_lo, n_lo + 3).passed
-        for n_hi in (n_lo + 4, n_lo + 5, 64):
-            report = assert_matches_reference(d, n_lo, n_hi)
-            assert report.first_failure[0] == n_lo + 4
+        # two order-2 classes, and one order-2 class with one geometric class
+        for d, bound in ((late_failure(n_lo), 4), (late_failure(n_lo, geometric=True), 3)):
+            assert proof_bound(d) == bound
+            assert verify(d, n_lo, n_lo + bound - 1).passed
+            for n_hi in (n_lo + bound, n_lo + bound + 1, 64):
+                report = assert_matches_reference(d, n_lo, n_hi)
+                assert report.first_failure[0] == n_lo + bound
 
     def test_passing_sweep_draws_at_most_b_residuals(self, monkeypatch):
         residuals = engine._residuals
