@@ -16,10 +16,9 @@ windows (:func:`sequences.int_window`) with no fraction on the way.
 
 The difference of the sides obeys Delta_n = r*Delta_{n-1} + rho_n, and the
 residual rho, which involves no partial sum, is a sum of class walks: one int
-stream (:func:`_residuals`) is all that steps a descriptor.
-:func:`first_difference` sweeps it for a range, and :func:`sides`, which
-serves :func:`descriptor_eval`, reads the LHS off the class walks and the sum
-side as L_n - Delta_n, so nothing carried outgrows the sides themselves.
+stream (:func:`_residuals`), one loop over it (:func:`_difference`) for a
+range or a single n, and one read-out of L_n, off the class walks, and
+L_n - Delta_n serve every caller, so nothing carried outgrows the sides.
 
 :func:`theorem2_descriptor` generates descriptors for any sequence and summand
 offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import repeat
 from math import gcd, lcm
 
 from .numeric import ensure_fraction, fraction_fields, lowest_terms, rat_pow
@@ -118,9 +117,10 @@ class IdentityDescriptor:
 _ONE = Fraction(1)
 
 
-def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, Fraction, tuple, tuple]]]:
-    """(D, E, classes): one (c1, c2, lhs seeds, sum seeds) per recurrence
-    class of d's walks, every seed an int on one common scale (D, E).
+def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[int, int, tuple, tuple]]]:
+    """(D, E, classes): one (a, b, lhs seeds, sum seeds) per recurrence
+    class (c1, c2) of d's walks, its int step (a, b) = (c1*D, c2*D^2) and
+    every seed an int on one common scale (D, E).
 
     Every LHS term and every summand, folded into the element
     c*coef*g^i*X_{stride*i+offset} with c = outer_coef and g = outer_ratio*beta,
@@ -132,17 +132,17 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
 
     Everything runs on ints: each element's window comes from
     :func:`sequences.int_window` as ints over their denominators, and its
-    coef multiplies both. An element of unscaled recurrence (a, b) and ratio
-    r is a walk of (a*r, b*r^2) from the seeds (y0, r*y1): the stride
+    coef multiplies both. An element of unscaled recurrence (u1, u2) and
+    ratio r is a walk of (u1*r, u2*r^2) from the seeds (y0, r*y1): the stride
     subsequence of its sequence (:func:`sequences.stride_recurrence`), or
-    with no sequence, or stride 0, the constant X_offset, (a, b) = (1, 0).
-    The class key is the ints of (a*r, b*r^2) in lowest terms. A class adds
+    with no sequence, or stride 0, the constant X_offset, (u1, u2) = (1, 0).
+    The class key is the ints of (u1*r, u2*r^2) in lowest terms. A class adds
     its elements' seeds as numerators over unreduced denominators, directly
     where the denominators are equal, and reduces only its final seeds. D is
     the lcm of the classes' :func:`sequences.step_scale` and E that of the
     reduced seed denominators, and a side's seeds are the ints
-    (E*y0, E*D*y1): a :func:`sequences.int_walk` on scale D from them
-    yields E*D^m times the side's class walk at m.
+    (E*y0, E*D*y1): a :func:`sequences.int_walk` of the class's (a, b)
+    from them yields E*D^m times the side's class walk at m.
     """
     rhs = d.rhs
     c, ratio, beta = rhs.outer_coef, rhs.outer_ratio, rhs.beta
@@ -187,8 +187,8 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[Fraction, F
     es = e * scale
     return scale, e, [
         (
-            Fraction(an, ad),
-            Fraction(bn, bd),
+            an * (scale // ad),
+            bn * (scale * scale // bd),
             (l0 * (e // p0), l1 * (es // p1)),
             (s0 * (e // q0), s1 * (es // q1)),
         )
@@ -211,116 +211,94 @@ def _residuals(d: IdentityDescriptor, rec):
     at n = 1 and 2; :func:`first_difference` reads its proof bound off that. With
     L~_n = E*D^n*L^G_n and S~_n the ints of G's walks, its seeds
     den(r)*E*D^n*rho^G_n = den(r)*(L~_n - S~_n) - num(r)*D*L~_{n-1} at n = 1
-    and 2 come from their first three ints, the third one step of G's integer
-    recurrence (c1*D, c2*D^2) on from the seeds.
+    and 2 come from their first three ints, the third one step of G's int
+    step (a, b) on from the seeds.
     """
     scale, _, classes = rec
     r = d.rhs.outer_ratio
     p, q = r.numerator * scale, r.denominator
     delta, walks = 0, []
-    for c1, c2, (l0, l1), (s0, s1) in classes:
-        a, b = c1.numerator * (scale // c1.denominator), c2.numerator * (scale * scale // c2.denominator)
+    for a, b, (l0, l1), (s0, s1) in classes:
         l2, s2 = a * l1 + b * l0, a * s1 + b * s0
         delta += l0 - s0
-        walks.append(int_walk(a, b, 1, q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
+        walks.append(int_walk(a, b, q * (l1 - s1) - p * l0, q * (l2 - s2) - p * l1))
     if len(walks) == 1:
         return delta, walks[0]
     return delta, map(sum, zip(*walks)) if walks else repeat(0)
 
 
-def _carried(d: IdentityDescriptor, rec, n_lo: int):
-    """(Delta_{n_lo}, the stream of :func:`_residuals` left at n_lo + 1),
-    with a Fraction built only while Delta or rho is nonzero."""
-    scale, e, _ = rec
+def _difference(d: IdentityDescriptor, rec, n_lo: int, n_hi: int):
+    """(n, Delta_n): Delta carried from 0 to n_lo on :func:`_residuals`, then
+    stepped on while it is 0 up to min(n_hi, n_lo + B), B the proof bound of
+    :func:`first_difference`; a Fraction is built only while Delta or rho is
+    nonzero."""
+    scale, e, classes = rec
     delta, rhos = _residuals(d, rec)
     delta = Fraction(delta, e) if delta else 0
     r = d.rhs.outer_ratio
-    for n, rho in zip(range(1, n_lo + 1), rhos):
+    stop = min(n_hi, n_lo + sum(1 if b == 0 else 2 for _, b, _, _ in classes))
+    n = 0
+    for n, rho in zip(range(1, stop + 1), rhos):
+        if delta and n > n_lo:
+            return n - 1, delta
         if delta or rho:
             delta = r * delta + Fraction(rho, r.denominator * e * scale ** n)
-    return delta, rhos
+    return n, delta
+
+
+def _read_out(rec, n: int, delta) -> tuple[Fraction, Fraction]:
+    """(L_n, L_n - Delta_n), L_n read by one skip of each class's LHS walk."""
+    scale, e, classes = rec
+    lhs = Fraction(sum(next(int_walk(a, b, *seeds, n)) for a, b, seeds, _ in classes), e * scale ** n)
+    return lhs, lhs - delta
 
 
 def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
     """The first (n, lhs, rhs) with lhs != rhs for n in [n_lo, n_hi], else None.
 
-    Delta_{n_lo} comes from :func:`_carried`; past n_lo the first n with
+    :func:`_difference` carries Delta to n_lo; past n_lo the first n with
     Delta_n != 0 is the first with rho_n != 0. The sweep stops at the proof
     bound: it tests rho only on (n_lo, min(n_hi, n_lo + B)], with B the sum
-    over classes of 1 where c2 = 0 and 2 otherwise, one int step per class
+    over classes of 1 where b = 0 and 2 otherwise, one int step per class
     and one zero test per n.
 
     Proof that those B residuals decide the whole range: each class's stream
-    in :func:`_residuals` is an :func:`sequences.int_walk` of its recurrence
-    (c1*D, c2*D^2) from n = 1, so it obeys that recurrence for n >= 3, that
-    is, its monic operator S^2 - c1*D*S - c2*D^2 (S the shift) kills it from
-    n = 1 on. A class with c2 = 0 holds only geometric, stride-0 and ratio-0
-    elements (:func:`recurrences`): each is a walk of (c1, 0), c1 being the
-    element's ratio, whose values are its first one times c1^m, so its seed
-    ints satisfy W_1 = (c1*D)*W_0. By linearity so do the class's summed
-    seed ints, so L~_{m+1} = c1*D*L~_m and S~_{m+1} = c1*D*S~_m for m >= 0,
-    and the stream's seeds, den(r)*(L~_1 - S~_1) - num(r)*D*L~_0 at n = 1
-    and the same with every index one higher at n = 2, satisfy
-    rho_2 = c1*D*rho_1 in its ints. That class's stream is then c1*D times
-    the one before it from n = 1, so the operator S - c1*D, of order 1,
-    kills it from n = 1 on. The product of the classes' operators, monic of
-    order B, therefore kills their sum, so for n >= B + 1 rho_n is a fixed
+    in :func:`_residuals` is an :func:`sequences.int_walk` of its int step
+    (a, b) from n = 1, so it obeys that recurrence for n >= 3, that is, its
+    monic operator S^2 - a*S - b (S the shift) kills it from n = 1 on. b = 0
+    holds exactly when c2 = 0, and a class with c2 = 0 holds only geometric,
+    stride-0 and ratio-0 elements (:func:`recurrences`): each is a walk of
+    (c1, 0), c1 being the element's ratio, whose values are its first one
+    times c1^m, so its seed ints satisfy W_1 = a*W_0. By linearity so do the
+    class's summed seed ints, so L~_{m+1} = a*L~_m and S~_{m+1} = a*S~_m for
+    m >= 0, and the stream's seeds, den(r)*(L~_1 - S~_1) - num(r)*D*L~_0 at
+    n = 1 and the same with every index one higher at n = 2, satisfy
+    rho_2 = a*rho_1 in its ints. That class's stream is then a times the one
+    before it from n = 1, so the operator S - a, of order 1, kills it from
+    n = 1 on. The product of the classes' operators, monic of order B,
+    therefore kills their sum, so for n >= B + 1 rho_n is a fixed
     combination of the B residuals before it. If rho is 0 at n_lo + 1, ...,
     n_lo + B, with n_lo >= 0, each later rho_n, n >= n_lo + B + 1 >= B + 1,
     is then 0 as well, up to n_hi and beyond; so any first nonzero rho past
     n_lo lies among the first B, and a range whose first B residuals are 0
     has no counterexample past n_lo.
 
-    At the first nonzero rho_n, Delta_{n-1} = 0 and Delta_n = rho_n, so the
-    witness is (n, L_n, L_n - rho_n), L_n read by one skip of each class's
-    LHS walk. The caller bounds the range, as :func:`verifier.verify` does.
+    The witness is (n, L_n, L_n - Delta_n) from :func:`_read_out`. The
+    caller bounds the range, as :func:`verifier.verify` does.
     """
     rec = recurrences(d)
-    scale, e, classes = rec
-    delta, rhos = _carried(d, rec, n_lo)
-    n = n_lo
-    if not delta:
-        bound = sum(1 if c2 == 0 else 2 for _, c2, _, _ in classes)
-        for n, rho in zip(range(n_lo + 1, min(n_hi, n_lo + bound) + 1), rhos):
-            if rho:
-                delta = Fraction(rho, d.rhs.outer_ratio.denominator * e * scale ** n)
-                break
-        else:
-            return None
-    lhs = Fraction(sum(next(int_walk(c1, c2, scale, *seeds, n)) for c1, c2, seeds, _ in classes), e * scale ** n)
-    return n, lhs, lhs - delta
-
-
-def sides(d: IdentityDescriptor, n_lo: int):
-    """Yield (n, lhs, rhs), both sides exact, for n = n_lo, n_lo + 1, ... without end.
-
-    The LHS is one walk per recurrence class of :func:`recurrences`, stepped
-    as ints on its common scale (D, E) and read as one fraction over E*D^n;
-    the sum side is L_n - Delta_n, with Delta carried in Horner form,
-    Delta_n = r*Delta_{n-1} + rho_n, from the residual stream of
-    :func:`_residuals`. Delta is the difference of the sides, 0 for a true
-    identity, so nothing carried outgrows them.
-    """
-    if n_lo < d.n_min:
-        raise ValueError(f"n={n_lo} is below the descriptor's n_min={d.n_min}")
-    if n_lo > MAX_INDEX:
-        raise ValueError(f"n={n_lo} is beyond the limit of {MAX_INDEX}")
-    rec = recurrences(d)
-    scale, den, classes = rec
-    delta, rhos = _carried(d, rec, n_lo)
-    lhs = [int_walk(c1, c2, scale, *seeds, n_lo) for c1, c2, seeds, _ in classes]
-    r = d.rhs.outer_ratio
-    den *= scale ** n_lo
-    for n in count(n_lo):
-        value = Fraction(sum(map(next, lhs)), den)
-        yield n, value, value - delta
-        den *= scale
-        delta = r * delta + Fraction(next(rhos), r.denominator * den)
+    n, delta = _difference(d, rec, n_lo, n_hi)
+    return (n, *_read_out(rec, n, delta)) if delta else None
 
 
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:
-    """Exact values of both sides at n: the first item of :func:`sides` from n."""
-    return next(sides(d, n))[1:]
+    """Exact values of both sides at n, Delta_n carried by :func:`_difference`."""
+    if n < d.n_min:
+        raise ValueError(f"n={n} is below the descriptor's n_min={d.n_min}")
+    if n > MAX_INDEX:
+        raise ValueError(f"n={n} is beyond the limit of {MAX_INDEX}")
+    rec = recurrences(d)
+    return _read_out(rec, *_difference(d, rec, n, n))
 
 
 def _weighted_sum(x: SequenceDef, k: int, id: str, citation: str) -> IdentityDescriptor:

@@ -12,29 +12,27 @@ Definitions are immutable values with no cache, so callers share no state.
 One kernel, :func:`int_walk` with its skip :func:`_skip`, steps every
 second-order recurrence in the package: single terms and windows
 (:func:`int_window`), subsequence seeds, and the recurrence classes and
-residual sweep of :mod:`engine`. It runs on plain ints: with E the lcm of
+residual stream of :mod:`engine`. It runs on plain ints: with E the lcm of
 the denominators of the start values and D the lcm of den(c1) and den(c2),
 or of den(c1) and sqrt(den(c2)) when den(c2) is a perfect square,
 W_m = E*D^m*Y_m obeys
-W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients are integers, so
-no step reduces a fraction. Any multiples of that D and E serve as well, so a
-caller may put several walks on one common scale and combine their ints
-directly. :func:`int_window` gives a window as such ints with their
-denominators E*D^m, and :func:`window`, :func:`term` and :func:`walk` read
-fractions off them. Backward, Y_m = X_{-m} is the same kind of sequence, with
-coefficients (-c1/c2, 1/c2), which :func:`int_window` forms in lowest terms
-from the ints of c1 and c2, so that a window at any index builds no
-fraction. A walk skips at most :data:`MAX_INDEX` steps, which bounds the
-work that untrusted indices can demand.
+W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients (a, b) are
+integers, so no step reduces a fraction. Any multiples of that D and E serve
+as well, so a caller may put several walks on one common scale and combine
+their ints directly. :func:`int_window` gives a window as such ints with
+their denominators E*D^m, and :func:`window`, :func:`term` and
+:func:`walk_to` read fractions off them. Backward, Y_m = X_{-m} is the same
+kind of sequence, with coefficients (-c1/c2, 1/c2), which :func:`int_window`
+forms in lowest terms from the ints of c1 and c2, so that a window at any
+index builds no fraction. A point read skips at most :data:`MAX_INDEX`
+steps, which bounds the work that untrusted indices can demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
 from math import isqrt, lcm
-from operator import mul
 
 from .numeric import ensure_fraction, fraction_fields, lowest_terms, quote, rat_pow
 
@@ -83,28 +81,26 @@ def step_scale(p1: int, p2: int) -> int:
 
 
 def _scaled_ints(c1, c2, y0, y1, m: int):
-    """(D, E, a, b, W_m, W_{m+1}): the least scale of a walk from (y0, y1),
-    its int coefficients (a, b) = (c1*D, c2*D^2) and its ints at m and m + 1
-    (:func:`int_walk`), refusing a skip of m past MAX_INDEX; c1, c2, y0 and
-    y1 are given as (numerator, denominator) pairs in lowest terms."""
+    """(D, E, W_m, W_{m+1}): the least scale of a walk from (y0, y1) and its
+    ints at m and m + 1 (:func:`int_walk`), refusing a skip of m past
+    MAX_INDEX; c1, c2, y0 and y1 are given as (numerator, denominator) pairs
+    in lowest terms."""
     if m > MAX_INDEX:
         raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
     (n1, p1), (n2, p2), (u0, q0), (u1, q1) = c1, c2, y0, y1
     d, e = step_scale(p1, p2), lcm(q0, q1)
     # the walk of (c1, c2) on scale d is that of the ints (c1*d, c2*d^2) on scale 1
     a, b = n1 * (d // p1), n2 * (d * d // p2)
-    return d, e, a, b, *_skip(a, b, u0 * (e // q0), u1 * (e * d // q1), m)
+    return d, e, *_skip(a, b, u0 * (e // q0), u1 * (e * d // q1), m)
 
 
-def walk(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int = 0):
-    """An iterator over Y_m, Y_{m+1}, ... of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1).
-
-    Every step runs on the scaled ints W_j = E*D^j*Y_j of the least scale
-    (see the module docstring); the fractions Y_j are read off them. c2 may
-    be 0: (r, 0) from (z, z*r) is the geometric z*r^j.
+def walk_to(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int) -> Fraction:
+    """Y_m of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1), read off the
+    scaled ints W_m = E*D^m*Y_m of the least scale (see the module
+    docstring). c2 may be 0: (r, 0) from (z, z*r) is the geometric z*r^j.
     """
-    d, e, a, b, lo, hi = _scaled_ints(*(y.as_integer_ratio() for y in (c1, c2, y0, y1)), m)
-    return map(Fraction, int_walk(a, b, 1, lo, hi), accumulate(repeat(d), mul, initial=e * d ** m))
+    d, e, w, _ = _scaled_ints(*(y.as_integer_ratio() for y in (c1, c2, y0, y1)), m)
+    return Fraction(w, e * d ** m)
 
 
 def _skip(a: int, b: int, lo: int, hi: int, m: int) -> tuple[int, int]:
@@ -114,18 +110,16 @@ def _skip(a: int, b: int, lo: int, hi: int, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def int_walk(c1: Fraction, c2: Fraction, d: int, lo: int, hi: int, m: int = 0):
-    """Yield W_m, W_{m+1}, ... of W_j = (c1*d)*W_{j-1} + (c2*d^2)*W_{j-2} from
-    the ints (W_0, W_1) = (lo, hi), where c1*d and c2*d^2 are ints; c1 and c2
-    are Fractions or ints.
+def int_walk(a: int, b: int, lo: int, hi: int, m: int = 0):
+    """Yield W_m, W_{m+1}, ... of W_j = a*W_{j-1} + b*W_{j-2} from the ints
+    (W_0, W_1) = (lo, hi).
 
     With :func:`_skip`, which takes its first m steps and reads a window
-    without a generator, this is the package's one recurrence loop: it steps
-    the ints E*d^j*Y_j of any walk on a scale (d, E). The caller bounds m
-    (:func:`walk` and :func:`int_window` by MAX_INDEX).
+    without a generator, this is the package's one recurrence loop: with
+    (a, b) = (c1*D, c2*D^2) it steps the ints E*D^j*Y_j of any walk on a
+    scale (D, E). The caller bounds m (:func:`engine.descriptor_eval` and
+    :func:`verifier.verify` by MAX_INDEX).
     """
-    a = c1.numerator * (d // c1.denominator)
-    b = c2.numerator * (d * d // c2.denominator)
     lo, hi = _skip(a, b, lo, hi, m)
     while True:
         yield lo
@@ -140,8 +134,8 @@ def int_window(seq: SequenceDef, n: int) -> tuple[int, int, int, int]:
     For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and start
     (X_0, X_{-1}), from m = -n-1 and swaps the pair; those three values are
     formed in lowest terms from the ints of c1, c2, x0 and x1, so D and E
-    are the least for them. Like :func:`walk`, it skips at most MAX_INDEX
-    steps.
+    are the least for them. Like :func:`walk_to`, it skips at most
+    MAX_INDEX steps.
     """
     c1, c2 = seq.c1.as_integer_ratio(), seq.c2.as_integer_ratio()
     x0, x1 = seq.x0.as_integer_ratio(), seq.x1.as_integer_ratio()
@@ -155,7 +149,7 @@ def int_window(seq: SequenceDef, n: int) -> tuple[int, int, int, int]:
             lowest_terms((u1 * p1 * q0 - n1 * u0 * q1) * p2, q1 * p1 * q0 * n2),
             -n - 1,
         )
-    d, e, _, _, lo, hi = _scaled_ints(c1, c2, x0, x1, m)
+    d, e, lo, hi = _scaled_ints(c1, c2, x0, x1, m)
     den = e * d ** m
     return (lo, hi, den, den * d) if n >= 0 else (hi, lo, den * d, den)
 
@@ -226,8 +220,8 @@ def stride_recurrence(seq: SequenceDef, j: int, k: int = 0) -> tuple[Fraction, F
     x_k, x_k1 = window(seq, k)
     if j == 1:  # X itself, from k
         return c1, c2, x_k, x_k1
-    v_j = next(walk(c1, c2, Fraction(2), c1, j))
-    return v_j, -rat_pow(-c2, j), x_k, next(walk(c1, c2, x_k, x_k1, j))
+    v_j = walk_to(c1, c2, Fraction(2), c1, j)
+    return v_j, -rat_pow(-c2, j), x_k, walk_to(c1, c2, x_k, x_k1, j)
 
 
 def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:

@@ -2,6 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,12 @@ from identity_forge.sequences import (
     generalized_u,
     generalized_v,
     generalized_v_def,
+    int_walk,
     int_window,
     named_def,
     subsequence_def,
     term,
-    walk,
+    walk_to,
     window,
 )
 
@@ -121,9 +123,23 @@ class TestTerm:
 
     def test_walk_skip_is_capped(self):
         one, zero = Fraction(1), Fraction(0)
-        assert next(walk(one, zero, one, one, MAX_INDEX)) == 1
+        assert walk_to(one, zero, one, one, MAX_INDEX) == 1
         with pytest.raises(ValueError, match="beyond the limit"):
-            next(walk(one, zero, one, one, MAX_INDEX + 1))
+            walk_to(one, zero, one, one, MAX_INDEX + 1)
+
+    def test_int_walk_matches_a_plain_int_loop(self):
+        # the kernel on its own: a = 0, b = 0, negative steps and seeds, and
+        # seeded random ints of either sign, from skips of 0, 1, 2 and 50
+        rng = random.Random(23)
+        steps = [(0, 0), (0, -3), (5, 0), (-2, -7)]
+        steps += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(20)]
+        for a, b in steps:
+            lo, hi = rng.randint(-99, 99), rng.randint(-99, 99)
+            values = [lo, hi]
+            while len(values) < 60:
+                values.append(a * values[-1] + b * values[-2])
+            for m in (0, 1, 2, 50):
+                assert list(islice(int_walk(a, b, lo, hi, m), 8)) == values[m:m + 8], (a, b, lo, hi, m)
 
     def test_concurrent_calls_share_no_state(self):
         # threads evaluating one fresh definition must not see each other's work

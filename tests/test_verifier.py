@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from identity_forge.catalog import all_entries, entry
-from identity_forge.engine import descriptor_eval, recurrences, sides, theorem1_descriptor, theorem2_descriptor
+from identity_forge.engine import descriptor_eval, recurrences, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
 from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
 from identity_forge import engine, verifier
@@ -84,10 +84,10 @@ class TestVerify:
             verify(d, 0, 8)
 
     def test_incremental_sum_matches_pointwise_eval(self):
-        # the side stream, seeded at n_min and at every n, must agree with an
-        # independent brute-force evaluation (strides > 1, ratios != 1, a
-        # negative offset and a pure geometric term among the cases); a
-        # corrupted descriptor pins the witness values to the brute-force ones
+        # both sides at every n from n_min must agree with an independent
+        # brute-force evaluation (strides > 1, ratios != 1, a negative offset
+        # and a pure geometric term among the cases); a corrupted descriptor
+        # pins the witness values to the brute-force ones
         cases = (
             entry("eq8", m=3),
             entry("eq23", j=3),
@@ -99,9 +99,8 @@ class TestVerify:
         for e in cases:
             d = e.descriptor
             assert verify(d, d.n_min, 24).passed
-            for n, lhs, rhs in islice(sides(d, d.n_min), 25 - d.n_min):
-                assert (lhs, rhs) == brute_sides(d, n), (e.label, n)
-                assert descriptor_eval(d, n) == (lhs, rhs), (e.label, n)
+            for n in range(d.n_min, 25):
+                assert descriptor_eval(d, n) == brute_sides(d, n), (e.label, n)
         broken = corrupt_lhs_coefficient(entry("eq4").descriptor, 5)
         report = verify(broken, 0, 16)
         n, lhs, rhs = report.first_failure
@@ -125,14 +124,12 @@ class TestVerify:
         for d, _ in identities:
             assert verify(d, 0, 32).passed, d.id
         for d, ns in identities + ((MIXED, (0, 1, 2, 9)),):
-            stream = list(islice(sides(d, 0), max(ns) + 1))
             for n in ns:
-                assert stream[n][1:] == brute_sides(d, n), (d.id, n)
                 assert descriptor_eval(d, n) == brute_sides(d, n), (d.id, n)
             for n_lo in (5, 17):
-                # a stream started at n_lo skips n_lo steps, then steps on
-                head = [item[1:] for item in islice(sides(d, n_lo), 2)]
-                assert head == [brute_sides(d, n_lo), brute_sides(d, n_lo + 1)], (d.id, n_lo)
+                # Delta carried n_lo steps and each LHS walk skipped n_lo steps, and one more
+                for n in (n_lo, n_lo + 1):
+                    assert descriptor_eval(d, n) == brute_sides(d, n), (d.id, n)
         far = theorem2_descriptor(A015530, 2000)
         broken = replace(far, rhs=replace(far.rhs, outer_coef=far.rhs.outer_coef + 1))
         report = verify(broken, 0, 32)
@@ -144,13 +141,13 @@ class TestVerify:
         # carried up to n_lo and on past it
         for d in (entry("eq2").descriptor, entry("eq10", k=2).descriptor, ZERO_RATIO, MIXED):
             for m in coefficient_mutants(d):
-                head = [item[1:] for item in islice(sides(m, n_lo), 3)]
-                assert head == [brute_sides(m, n) for n in range(n_lo, n_lo + 3)], (m.id, n_lo)
+                for n in range(n_lo, n_lo + 3):
+                    assert descriptor_eval(m, n) == brute_sides(m, n), (m.id, n)
 
     def test_descriptor_with_no_terms(self):
         # no classes, so no residual walk: both sides are 0 at every n
         d = IdentityDescriptor("empty", (), SumSide(1, 1, 1, ()))
-        assert list(islice(sides(d, 2), 3)) == [(n, 0, 0) for n in (2, 3, 4)]
+        assert [descriptor_eval(d, n) for n in (2, 3, 4)] == [(0, 0)] * 3
         assert verify(d, 0, 5).passed and verify(d, 3, 5).passed
 
     def test_nonzero_start_matches_full_sweep(self):
@@ -223,9 +220,9 @@ class TestResidualSweep:
 
     def test_classes_that_cancel_or_belong_to_one_side(self):
         d = geometric_ones()
-        _, _, classes = recurrences(d)
+        scale, _, classes = recurrences(d)
         assert len(classes) == 4
-        fib = [seeds for c1, c2, seeds, _ in classes if (c1, c2) == (1, 1)]
+        fib = [seeds for a, b, seeds, _ in classes if (Fraction(a, scale), Fraction(b, scale**2)) == (1, 1)]
         assert fib == [(0, 0)]  # the two Fibonacci terms cancel in their seeds
         for m in (d, *coefficient_mutants(d)):
             for n_lo in (0, 1, 3):
@@ -319,11 +316,14 @@ def fuzz_descriptors(seed):
 
 
 def class_sides(d, m):
-    """{(c1, c2): [L, S]} at m, read off the int seeds of recurrences(d)."""
+    """{(c1, c2): [L, S]} at m, read off the int steps (a, b) = (c1*D, c2*D^2)
+    and int seeds of recurrences(d)."""
     scale, e, classes = recurrences(d)
     values = {
-        (c1, c2): [Fraction(next(int_walk(c1, c2, scale, *seeds, m)), e * scale ** m) for seeds in (lhs, sums)]
-        for c1, c2, lhs, sums in classes
+        (Fraction(a, scale), Fraction(b, scale * scale)): [
+            Fraction(next(int_walk(a, b, *seeds, m)), e * scale ** m) for seeds in (lhs, sums)
+        ]
+        for a, b, lhs, sums in classes
     }
     assert len(values) == len(classes)  # no recurrence is split over two classes
     return values
@@ -391,11 +391,7 @@ class TestClassSetUp:
             calls.append(d)
             return recurrences(d)
 
-        def unused(*args):
-            raise AssertionError("verify evaluates through sides")
-
         monkeypatch.setattr(engine, "recurrences", counted)
-        monkeypatch.setattr(engine, "sides", unused)
         verify(d, n_lo, 40)
         assert len(calls) == 1
 
@@ -449,7 +445,7 @@ def late_failure(n_lo, geometric=False):
 
 
 def proof_bound(d):
-    return sum(1 if c2 == 0 else 2 for _, c2, _, _ in recurrences(d)[2])
+    return sum(1 if b == 0 else 2 for _, b, _, _ in recurrences(d)[2])
 
 
 class TestProofBound:
@@ -493,9 +489,9 @@ class TestProofBound:
     def test_shared_root_classes_cancel(self):
         d = shared_root()
         scale, e, classes = recurrences(d)
-        assert [(c1, c2) for c1, c2, _, _ in classes] == [(3, -2), (1, 2)]
+        assert [(Fraction(a, scale), Fraction(b, scale * scale)) for a, b, _, _ in classes] == [(3, -2), (1, 2)]
         # each class's own residual at n = 1 is L_1 - L_0 = +-1, not 0
-        for c1, c2, (l0, l1), _ in classes:
+        for _, _, (l0, l1), _ in classes:
             assert abs(Fraction(l1, e * scale) - Fraction(l0, e)) == 1
         for n_lo in (0, 2):
             assert verify(d, n_lo, 512).passed
@@ -529,6 +525,28 @@ class TestProofBound:
             assert verify(d, d.n_min, 512).passed, d.id
             # the n_min residuals up to n_lo are carried, and the sweep draws at most B
             assert len(drawn) <= d.n_min + proof_bound(d), d.id
+
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_point_evaluation_draws_exactly_n_residuals(self, monkeypatch, n):
+        residuals, built, drawn = engine._residuals, [], []
+
+        def counted_classes(d):
+            built.append(d)
+            return recurrences(d)
+
+        def counted(d, rec):
+            delta, rhos = residuals(d, rec)
+            return delta, (drawn.append(rho) or rho for rho in rhos)
+
+        monkeypatch.setattr(engine, "recurrences", counted_classes)
+        monkeypatch.setattr(engine, "_residuals", counted)
+        descriptors = [e.descriptor for e in all_entries() if e.descriptor.n_min <= n] + [ZERO_RATIO, MIXED]
+        for d in descriptors:
+            built.clear()
+            drawn.clear()
+            descriptor_eval(d, n)
+            # Delta is carried to n whether it is 0 or not, and stepped no further
+            assert (len(built), len(drawn)) == (1, n), d.id
 
 
 class TestTotalReach:
