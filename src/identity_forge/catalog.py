@@ -7,6 +7,16 @@ deterministic test surface; out-of-grid parameters are available through the
 generators in :mod:`identity_forge.engine` instead. Where a family is a
 polished rewrite of raw generator output, the test suite ties the two
 together by exact evaluation.
+
+Nine families (eq3, eq9, eq10, eq12, eq19, eq44, eq45, eqA, eqPP) are
+literal instances of the two-sequence theorem, built by :func:`_pair_sum`.
+For X and Y of one recurrence (c1, c2), their stride-j subsequences X_{jn}
+and Y_{jn+k} share the recurrence (V_j, -(-c2)^j) of
+:func:`sequences.stride_recurrence`; the theorem on them, with X_0 = 0,
+reads X_{jn+j} = (X_j/Y_k) * sum_{i=0..n} t^(n-i) Y_{ji+k} with
+t = (-c2)^j * Y_{k-j}/Y_k, which needs Y_k != 0 and Y_{k-j} != 0. The other
+families add constant terms or several summands, or rescale an instance by
+sigma*lam^n, and keep their own builders.
 """
 
 from __future__ import annotations
@@ -43,18 +53,6 @@ class CatalogEntry:
         return self.descriptor.id
 
 
-def _pell(n):
-    return term(PELL, n)
-
-
-def _bronze(n):
-    return term(BRONZE, n)
-
-
-def _a15(n):
-    return term(A015530, n)
-
-
 def _fmt_param(value) -> str:
     return format_rational(value) if isinstance(value, Fraction) else str(value)
 
@@ -70,6 +68,17 @@ def _label(entry_id: str, params: dict) -> str:
 # a pure geometric/constant term. Sum sides store t^(n-i) weights as
 # outer_ratio = t, beta = 1/t.
 
+def _pair_sum(x, y, j, k):
+    """The two-sequence theorem on the stride-j subsequences of X = x and
+    Y = y (module docstring); X_0 = 0 and Y has X's recurrence."""
+    y_k = term(y, k)
+    t = (-y.c2) ** j * term(y, k - j) / y_k
+    return (
+        (GeometricTerm(1, 1, x, j, j),),
+        SumSide(term(x, j) / y_k, t, 1 / t, (Summand(1, y, j, k),)),
+    )
+
+
 def _eq1():
     return (
         (GeometricTerm(2, 2, FIBONACCI, 1, 1),),
@@ -82,13 +91,6 @@ def _eq2():
     return (
         (GeometricTerm(1, half, FIBONACCI, 1, 1),),
         SumSide(1, 1, half, (Summand(1, LUCAS, 1, 1),)),
-    )
-
-
-def _eq3():
-    return (
-        (GeometricTerm(1, 1, FIBONACCI, 1, 1),),
-        SumSide(1, -2, Fraction(-1, 2), (Summand(1, LUCAS, 1, 1),)),
     )
 
 
@@ -140,48 +142,11 @@ def _eq8b(j):
     )
 
 
-def _eq9(j, summand):
-    if summand == "fibonacci":
-        t = _fib(j - 1)
-        inner = Summand(1, FIBONACCI, j, 1)
-    else:
-        t = -_luc(j - 1)
-        inner = Summand(1, LUCAS, j, 1)
-    return (
-        (GeometricTerm(1, 1, FIBONACCI, j, j),),
-        SumSide(_fib(j), t, 1 / t, (inner,)),
-    )
-
-
-def _eq10(k):
-    t = -_pell(k - 1) / _pell(k)
-    return (
-        (GeometricTerm(1, 1, PELL, 1, 1),),
-        SumSide(1 / _pell(k), t, 1 / t, (Summand(1, PELL, 1, k),)),
-    )
-
-
 def _eq11():
     third = Fraction(1, 3)
     return (
         (GeometricTerm(1, 1), GeometricTerm(-third, third, PELL_LUCAS, 1, 1)),
         SumSide(Fraction(2, 3), 1, third, (Summand(1, PELL, 1, -1),)),
-    )
-
-
-def _eq12(j):
-    t = _bronze(j - 1)
-    return (
-        (GeometricTerm(1, 1, BRONZE, j, j),),
-        SumSide(_bronze(j), t, 1 / t, (Summand(1, BRONZE, j, 1),)),
-    )
-
-
-def _eq19(k):
-    t = -_luc(k - 1) / _luc(k)
-    return (
-        (GeometricTerm(1, 1, FIBONACCI, 1, 1),),
-        SumSide(1 / _luc(k), t, 1 / t, (Summand(1, LUCAS, 1, k),)),
     )
 
 
@@ -223,22 +188,6 @@ def _lzero6():
     )
 
 
-def _eq44(j, k):
-    t = rat_pow(-1, k + 1) * _fib(j - k) / _fib(k)
-    return (
-        (GeometricTerm(1, 1, FIBONACCI, j, j),),
-        SumSide(_fib(j) / _fib(k), t, 1 / t, (Summand(1, FIBONACCI, j, k),)),
-    )
-
-
-def _eq45(j, k):
-    t = rat_pow(-1, k) * _luc(j - k) / _luc(k)
-    return (
-        (GeometricTerm(1, 1, FIBONACCI, j, j),),
-        SumSide(_fib(j) / _luc(k), t, 1 / t, (Summand(1, LUCAS, j, k),)),
-    )
-
-
 def _eqDT(j):
     sign = rat_pow(-1, j)
     ratio = 1 / _luc(j)
@@ -251,25 +200,10 @@ def _eqDT(j):
     )
 
 
-def _eqPP():
-    return (
-        (GeometricTerm(1, 1, PELL, 1, 1),),
-        SumSide(1, 2, Fraction(1, 2), (Summand(1, PELL, 1, -1),)),
-    )
-
-
 def _eqPP2():
     return (
         (GeometricTerm(1, 1, PELL, 1, 2), GeometricTerm(-2, 2)),
         SumSide(1, 2, Fraction(1, 2), (Summand(1, PELL, 1, 0),)),
-    )
-
-
-def _eqA(k):
-    t = -3 * _a15(k - 1) / _a15(k)
-    return (
-        (GeometricTerm(1, 1, A015530, 1, 1),),
-        SumSide(1 / _a15(k), t, 1 / t, (Summand(1, A015530, 1, k),)),
     )
 
 
@@ -287,7 +221,9 @@ def _grid(*points):
 _FAMILIES: dict[str, _Family] = {
     "eq1": _Family(_eq1, _grid({}), "Sury's identity: powers of two against the Lucas numbers"),
     "eq2": _Family(_eq2, _grid({}), "Martinjak's alternating half-weight Lucas sum"),
-    "eq3": _Family(_eq3, _grid({}), "convolution form of Martinjak's identity"),
+    "eq3": _Family(
+        lambda: _pair_sum(FIBONACCI, LUCAS, 1, 1), _grid({}), "convolution form of Martinjak's identity"
+    ),
     "eq4": _Family(_eq4, _grid({}), "Marques' base-3 variant of Sury's identity"),
     "eq5": _Family(
         _eq5,
@@ -316,7 +252,7 @@ _FAMILIES: dict[str, _Family] = {
         "Adegoke/Frontczak-style reciprocal-weight companions of the m-step sums",
     ),
     "eq9": _Family(
-        _eq9,
+        lambda j, summand: _pair_sum(FIBONACCI, FIBONACCI if summand == "fibonacci" else LUCAS, j, 1),
         _grid(
             *(
                 {"j": j, "summand": s}
@@ -327,7 +263,7 @@ _FAMILIES: dict[str, _Family] = {
         "unit-offset j-step sums with Fibonacci or Lucas summands",
     ),
     "eq10": _Family(
-        _eq10,
+        lambda k: _pair_sum(PELL, PELL, 1, k),
         _grid({"k": 2}, {"k": 3}, {"k": 4}),
         "Pell sums starting at offset k",
     ),
@@ -337,12 +273,12 @@ _FAMILIES: dict[str, _Family] = {
         "Abd-Elhameed/Zeyada Pell-Lucas sum over down-shifted Pell numbers",
     ),
     "eq12": _Family(
-        _eq12,
+        lambda j: _pair_sum(BRONZE, BRONZE, j, 1),
         _grid({"j": 2}, {"j": 3}, {"j": 4}),
         "bronze Fibonacci j-step sums with unit offset",
     ),
     "eq19": _Family(
-        _eq19,
+        lambda k: _pair_sum(FIBONACCI, LUCAS, 1, k),
         _grid({"k": 1}, {"k": 2}, {"k": 3}, {"k": 4}),
         "Lucas-offset family producing F_{n+1} from sums starting at L_k",
     ),
@@ -367,7 +303,7 @@ _FAMILIES: dict[str, _Family] = {
         "polished 6-step form of the zero-offset Lucas sum",
     ),
     "eq44": _Family(
-        _eq44,
+        lambda j, k: _pair_sum(FIBONACCI, FIBONACCI, j, k),
         _grid(
             *(
                 {"j": j, "k": k}
@@ -379,7 +315,7 @@ _FAMILIES: dict[str, _Family] = {
         "j-step Fibonacci sums with nonzero offset k (|k| < j)",
     ),
     "eq45": _Family(
-        _eq45,
+        lambda j, k: _pair_sum(FIBONACCI, LUCAS, j, k),
         _grid(
             *(
                 {"j": j, "k": k}
@@ -394,14 +330,14 @@ _FAMILIES: dict[str, _Family] = {
         _grid({"j": 2}, {"j": 3}, {"j": 4}),
         "Dresden/Tulskikh reciprocal-weight Fibonacci step sums",
     ),
-    "eqPP": _Family(_eqPP, _grid({}), "Pell sum with offset -1 and weight 2"),
+    "eqPP": _Family(lambda: _pair_sum(PELL, PELL, 1, -1), _grid({}), "Pell sum with offset -1 and weight 2"),
     "eqPP2": _Family(
         _eqPP2,
         _grid({}),
         "Dresden/Tulskikh companion: P_{n+2} against zero-offset Pell sums",
     ),
     "eqA": _Family(
-        _eqA,
+        lambda k: _pair_sum(A015530, A015530, 1, k),
         _grid({"k": 2}, {"k": 3}),
         "offset-k sums for the (4, 3) recurrence A015530",
     ),

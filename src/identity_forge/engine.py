@@ -11,8 +11,9 @@ shape in the catalog. Each element coef * r^n * X_{s*n+o}, a summand's with
 r = outer_ratio*beta, is C-finite of order at most 2: it obeys a two-term
 recurrence (c1, c2). Elements of one recurrence add up to one more solution
 of it, so :func:`recurrences` groups them into classes and gives each class's
-seeds as ints on one common scale E*D^n, read from the elements' integer
-windows (:func:`sequences.int_window`) with no fraction on the way.
+seeds as ints on one common scale E*D^n, read from each element's integer
+recurrence and seeds (:func:`sequences.stride_recurrence`) with no fraction
+on the way.
 
 The difference of the sides obeys Delta_n = r*Delta_{n-1} + rho_n, and the
 residual rho, which involves no partial sum, is a sum of class walks: one int
@@ -130,15 +131,14 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[int, int, t
     the walks of one exact (c1, c2), adds up the seeds of its LHS terms and,
     apart, of its summands; a side with no walk in a class has seeds (0, 0).
 
-    Everything runs on ints: each element's window comes from
-    :func:`sequences.int_window` as ints over their denominators, and its
-    coef multiplies both. An element of unscaled recurrence (u1, u2) and
-    ratio r is a walk of (u1*r, u2*r^2) from the seeds (y0, r*y1): the stride
-    subsequence of its sequence (:func:`sequences.stride_recurrence`), or
-    with no sequence, or stride 0, the constant X_offset, (u1, u2) = (1, 0).
-    The class key is the ints of (u1*r, u2*r^2) in lowest terms. A class adds
-    its elements' seeds as numerators over unreduced denominators, directly
-    where the denominators are equal, and reduces only its final seeds. D is
+    Everything runs on ints: :func:`sequences.stride_recurrence` reads each
+    element's unscaled recurrence (u1, u2) and seeds (y0, y1) as int pairs,
+    the constant walk (1, 0) where it has no sequence or stride 0, and its
+    coef multiplies both seeds. With ratio r the element is a walk of
+    (u1*r, u2*r^2) from the seeds (y0, r*y1), and the class key is the ints
+    of (u1*r, u2*r^2) in lowest terms. A class adds its elements' seeds as
+    numerators over unreduced denominators, directly where the denominators
+    are equal, and reduces only its final seeds. D is
     the lcm of the classes' :func:`sequences.step_scale` and E that of the
     reduced seed denominators, and a side's seeds are the ints
     (E*y0, E*D*y1): a :func:`sequences.int_walk` of the class's (a, b)
@@ -156,21 +156,11 @@ def recurrences(d: IdentityDescriptor) -> tuple[int, int, list[tuple[int, int, t
     # y1 = n1/p1 with p0 and p1 not reduced; a dict keeps the order classes are found in
     classes = {}
     for side, num, den, rn, rd, t in elements:
-        x, stride = t.seq, t.stride
-        if x is None or stride == 0:
-            u, _, p, _ = (1, 1, 1, 1) if x is None else int_window(x, t.offset)
-            key, v, q = (rn, rd, 0, 1), u, p
-        else:
-            if stride == 1:
-                (an, ad), (bn, bd) = x.c1.as_integer_ratio(), x.c2.as_integer_ratio()
-                u, v, p, q = int_window(x, t.offset)
-            else:
-                a, b, y0, y1 = stride_recurrence(x, stride, t.offset)
-                (an, ad), (bn, bd), (u, p), (v, q) = (y.as_integer_ratio() for y in (a, b, y0, y1))
-            if rn != rd:  # r != 1
-                an, ad = lowest_terms(an * rn, ad * rd)
-                bn, bd = lowest_terms(bn * rn * rn, bd * rd * rd)
-            key = an, ad, bn, bd
+        (an, ad), (bn, bd), (u, p), (v, q) = stride_recurrence(t.seq, t.stride, t.offset)
+        if rn != rd:  # r != 1
+            an, ad = lowest_terms(an * rn, ad * rd)
+            bn, bd = lowest_terms(bn * rn * rn, bd * rd * rd)
+        key = an, ad, bn, bd
         n0, p0, n1, p1 = num * u, den * p, rn * num * v, rd * den * q
         both = classes.setdefault(key, [(0, 1, 0, 1), (0, 1, 0, 1)])
         m0, q0, m1, q1 = both[side]

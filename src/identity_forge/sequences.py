@@ -11,20 +11,20 @@ Definitions are immutable values with no cache, so callers share no state.
 
 One kernel, :func:`int_walk` with its skip :func:`_skip`, steps every
 second-order recurrence in the package: single terms and windows
-(:func:`int_window`), subsequence seeds, and the recurrence classes and
-residual stream of :mod:`engine`. It runs on plain ints: with E the lcm of
-the denominators of the start values and D the lcm of den(c1) and den(c2),
-or of den(c1) and sqrt(den(c2)) when den(c2) is a perfect square,
-W_m = E*D^m*Y_m obeys
+(:func:`int_window`), the recurrence and seeds of every element
+(:func:`stride_recurrence`), and the recurrence classes and residual stream
+of :mod:`engine`. It runs on plain ints: with E the lcm of the denominators
+of the start values and D the lcm of den(c1) and den(c2), or of den(c1) and
+sqrt(den(c2)) when den(c2) is a perfect square, W_m = E*D^m*Y_m obeys
 W_m = (c1*D)*W_{m-1} + (c2*D^2)*W_{m-2}, whose coefficients (a, b) are
 integers, so no step reduces a fraction. Any multiples of that D and E serve
 as well, so a caller may put several walks on one common scale and combine
 their ints directly. :func:`int_window` gives a window as such ints with
-their denominators E*D^m, and :func:`window`, :func:`term` and
-:func:`walk_to` read fractions off them. Backward, Y_m = X_{-m} is the same
-kind of sequence, with coefficients (-c1/c2, 1/c2), which :func:`int_window`
-forms in lowest terms from the ints of c1 and c2, so that a window at any
-index builds no fraction. A point read skips at most :data:`MAX_INDEX`
+their denominators E*D^m, and :func:`window` and :func:`term` read
+fractions off them. Backward, Y_m = X_{-m} is the same kind of sequence,
+with coefficients (-c1/c2, 1/c2), which :func:`int_window` forms in lowest
+terms from the ints of c1 and c2, so that a window at any index builds no
+fraction. A point read skips at most :data:`MAX_INDEX`
 steps, which bounds the work that untrusted indices can demand.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .numeric import ensure_fraction, fraction_fields, lowest_terms, quote, rat_pow
+from .numeric import ensure_fraction, fraction_fields, lowest_terms, quote
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,6 @@ def _scaled_ints(c1, c2, y0, y1, m: int):
     return d, e, *_skip(a, b, u0 * (e // q0), u1 * (e * d // q1), m)
 
 
-def walk_to(c1: Fraction, c2: Fraction, y0: Fraction, y1: Fraction, m: int) -> Fraction:
-    """Y_m of Y_j = c1*Y_{j-1} + c2*Y_{j-2} from (y0, y1), read off the
-    scaled ints W_m = E*D^m*Y_m of the least scale (see the module
-    docstring). c2 may be 0: (r, 0) from (z, z*r) is the geometric z*r^j.
-    """
-    d, e, w, _ = _scaled_ints(*(y.as_integer_ratio() for y in (c1, c2, y0, y1)), m)
-    return Fraction(w, e * d ** m)
-
-
 def _skip(a: int, b: int, lo: int, hi: int, m: int) -> tuple[int, int]:
     """(W_m, W_{m+1}) of W_j = a*W_{j-1} + b*W_{j-2} from (W_0, W_1) = (lo, hi)."""
     for _ in range(m):
@@ -134,8 +125,7 @@ def int_window(seq: SequenceDef, n: int) -> tuple[int, int, int, int]:
     For n < 0 it walks Y_m = X_{-m}, coefficients (-c1/c2, 1/c2) and start
     (X_0, X_{-1}), from m = -n-1 and swaps the pair; those three values are
     formed in lowest terms from the ints of c1, c2, x0 and x1, so D and E
-    are the least for them. Like :func:`walk_to`, it skips at most
-    MAX_INDEX steps.
+    are the least for them. It skips at most MAX_INDEX steps.
     """
     c1, c2 = seq.c1.as_integer_ratio(), seq.c2.as_integer_ratio()
     x0, x1 = seq.x0.as_integer_ratio(), seq.x1.as_integer_ratio()
@@ -208,20 +198,30 @@ def generalized_v(c1, c2, j: int) -> Fraction:
     return term(generalized_v_def(c1, c2), j)
 
 
-def stride_recurrence(seq: SequenceDef, j: int, k: int = 0) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(V_j, -(-c2)^j, X_k, X_{j+k}): the coefficients and start values of
-    Y_n = X_{j*n + k}, for j >= 1, with no definition built.
+def stride_recurrence(seq: SequenceDef | None, j: int, k: int = 0):
+    """(a, b, y0, y1), each an int (numerator, denominator) pair: the
+    coefficients and start values of the element Y_n = X_{j*n + k}, a walk
+    of Y_n = a*Y_{n-1} + b*Y_{n-2} from (y0, y1), with no fraction built.
 
-    Y is second order because its characteristic roots are the j-th powers of
-    X's: their sum is V_j, the V-sequence value for (c1, c2), and their
-    product (-c2)^j. X_{j+k} is walked j steps on from the window at k.
+    With no sequence (X = 1) or j = 0, Y is the constant walk (1, 0) from
+    (X_k, X_k). For j >= 1 Y is second order because its characteristic
+    roots are the j-th powers of X's: their sum is V_j, the V-sequence value
+    for (c1, c2), and their product (-c2)^j, so (a, b) = (V_j, -(-c2)^j), in
+    lowest terms; (y0, y1) = (X_k, X_{j+k}), read off :func:`int_window` at k
+    and, for j >= 2, walked j steps on, with their denominators not reduced.
     """
-    c1, c2 = seq.c1, seq.c2
-    x_k, x_k1 = window(seq, k)
+    if seq is None:
+        return (1, 1), (0, 1), (1, 1), (1, 1)
+    u, v, p, q = int_window(seq, k)
+    if j == 0:
+        return (1, 1), (0, 1), (u, p), (u, p)
+    c1, c2 = seq.c1.as_integer_ratio(), seq.c2.as_integer_ratio()
     if j == 1:  # X itself, from k
-        return c1, c2, x_k, x_k1
-    v_j = walk_to(c1, c2, Fraction(2), c1, j)
-    return v_j, -rat_pow(-c2, j), x_k, walk_to(c1, c2, x_k, x_k1, j)
+        return c1, c2, (u, p), (v, q)
+    d, e, v_j, _ = _scaled_ints(c1, c2, (2, 1), c1, j)
+    _, f, x_jk, _ = _scaled_ints(c1, c2, (u, p), (v, q), j)
+    n2, p2 = c2
+    return lowest_terms(v_j, e * d ** j), (-(-n2) ** j, p2 ** j), (u, p), (x_jk, f * d ** j)
 
 
 def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
@@ -230,4 +230,5 @@ def subsequence_def(seq: SequenceDef, j: int, k: int = 0) -> SequenceDef:
     if j < 1:
         raise ValueError("j must be >= 1")
     offset = f"+{k}" if k >= 0 else str(k)
-    return SequenceDef(*stride_recurrence(seq, j, k), label=f"{seq.label or 'X'}[{j}n{offset}]")
+    values = (Fraction(n, p) for n, p in stride_recurrence(seq, j, k))
+    return SequenceDef(*values, label=f"{seq.label or 'X'}[{j}n{offset}]")

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from identity_forge.sequences import (
     subsequence_def,
     term,
 )
+from identity_forge.serialize import to_json, to_latex
 from identity_forge.verifier import verify
 
 from oracles import a015530, bronze, fib, luc, pell, pell_lucas
@@ -285,3 +288,15 @@ def test_entry_type_shape():
     assert e.id == "eq8"
     assert e.params == {"m": 3}
     assert e.label == "eq8[m=3]"
+
+
+def test_every_form_matches_the_golden():
+    # one line per entry: label, to_latex and the sha256 of its compact JSON,
+    # so any change to a built descriptor, however small, shows here
+    lines = []
+    for e in all_entries():
+        d = e.descriptor
+        digest = hashlib.sha256(to_json(d, indent=None).encode()).hexdigest()
+        lines.append(f"{d.id}\t{to_latex(d)}\t{digest}\n")
+    golden = (Path(__file__).parent / "golden" / "catalog_forms.txt").read_text()
+    assert lines == golden.splitlines(keepends=True)

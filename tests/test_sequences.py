@@ -24,9 +24,9 @@ from identity_forge.sequences import (
     int_walk,
     int_window,
     named_def,
+    stride_recurrence,
     subsequence_def,
     term,
-    walk_to,
     window,
 )
 
@@ -121,12 +121,6 @@ class TestTerm:
             brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n + 1),
         )
 
-    def test_walk_skip_is_capped(self):
-        one, zero = Fraction(1), Fraction(0)
-        assert walk_to(one, zero, one, one, MAX_INDEX) == 1
-        with pytest.raises(ValueError, match="beyond the limit"):
-            walk_to(one, zero, one, one, MAX_INDEX + 1)
-
     def test_int_walk_matches_a_plain_int_loop(self):
         # the kernel on its own: a = 0, b = 0, negative steps and seeds, and
         # seeded random ints of either sign, from skips of 0, 1, 2 and 50
@@ -205,6 +199,13 @@ class TestIntWindow:
         with pytest.raises(ValueError, match=refusal):
             int_window(ones, -MAX_INDEX - 2)
 
+    def test_limit_at_the_forward_boundary(self):
+        ones = SequenceDef(0, 1, 1, 1)
+        assert int_window(ones, MAX_INDEX) == (1, 1, 1, 1)
+        refusal = f"^a walk of {MAX_INDEX + 1} steps is beyond the limit of {MAX_INDEX}$"
+        with pytest.raises(ValueError, match=refusal):
+            int_window(ones, MAX_INDEX + 1)
+
 
 class TestDefinitions:
     def test_c2_zero_rejected(self):
@@ -270,6 +271,31 @@ class TestGeneralizedV:
     def test_c2_zero_rejected(self):
         with pytest.raises(ValueError, match="c2 must be nonzero"):
             generalized_v(1, 0, 2)
+
+
+class TestStrideRecurrence:
+    @pytest.mark.parametrize("seq", [
+        None,
+        FIBONACCI,
+        A015530,
+        SequenceDef(0, Fraction(-3, 2), 1, Fraction(1, 5)),  # c1 = 0
+        SequenceDef(Fraction(2, 3), Fraction(1, 4), Fraction(1, 2), Fraction(-2, 3)),  # den(c2) = 2^2
+        SequenceDef(Fraction(2, 3), Fraction(1, 12), Fraction(1, 2), Fraction(-2, 3)),
+    ])
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 7])
+    def test_ints_walk_the_element(self, seq, j):
+        # Y_n = X_{j*n+k} from (y0, y1) by (a, b), X = 1 with no sequence;
+        # (a, b) are in lowest terms, as the class keys of recurrences need
+        def x(n):
+            return 1 if seq is None else brute_term(seq.c1, seq.c2, seq.x0, seq.x1, n)
+
+        for k in range(-6, 7):
+            pairs = stride_recurrence(seq, j, k)
+            a, b, y0, y1 = (Fraction(*pair) for pair in pairs)
+            assert [a.as_integer_ratio(), b.as_integer_ratio()] == list(pairs[:2])
+            assert (y0, y1) == (x(k), x(j + k))
+            assert a * y1 + b * y0 == x(2 * j + k)
+            assert a * x(2 * j + k) + b * y1 == x(3 * j + k)
 
 
 class TestSubsequence:

@@ -570,6 +570,16 @@ class TestTotalReach:
         d = theorem2_descriptor(SequenceDef(0, 1, 1, 1), k)
         assert verify(d, 0, n_hi).passed
 
+    def test_stride_past_the_limit_at_n_hi_zero(self):
+        # at n_hi = 0 no term reaches past MAX_INDEX, but the seed X_stride
+        # of the LHS term is a walk of stride steps, which is refused
+        ones = SequenceDef(0, 1, 1, 1)
+        d = IdentityDescriptor(
+            "far", (GeometricTerm(1, 1, ones, MAX_INDEX + 5, 0),), SumSide(1, 1, 1, (Summand(1, ones, 0, 0),))
+        )
+        with pytest.raises(ValueError, match=f"^a walk of {MAX_INDEX + 5} steps is beyond the limit of {MAX_INDEX}$"):
+            verify(d, 0, 0)
+
 
 class TestVerifyCatalog:
     def test_base_cases(self):
