@@ -8,15 +8,14 @@ generators in :mod:`identity_forge.engine` instead. Where a family is a
 polished rewrite of raw generator output, the test suite ties the two
 together by exact evaluation.
 
-Nine families (eq3, eq9, eq10, eq12, eq19, eq44, eq45, eqA, eqPP) are
-literal instances of the two-sequence theorem, built by :func:`_pair_sum`.
-For X and Y of one recurrence (c1, c2), their stride-j subsequences X_{jn}
-and Y_{jn+k} share the recurrence (V_j, -(-c2)^j) of
-:func:`sequences.stride_recurrence`; the theorem on them, with X_0 = 0,
-reads X_{jn+j} = (X_j/Y_k) * sum_{i=0..n} t^(n-i) Y_{ji+k} with
-t = (-c2)^j * Y_{k-j}/Y_k, which needs Y_k != 0 and Y_{k-j} != 0. The other
-families add constant terms or several summands, or rescale an instance by
-sigma*lam^n, and keep their own builders.
+Twelve families, 91 entries, are instances of the two-sequence theorem,
+:func:`engine.pair_sum`, on the stride-j subsequences X_{jn} and Y_{jn+k}
+of two sequences of one recurrence. With X_0 = 0, :func:`_pair_sum`
+divides by -X_j, which leaves X_{jn+j} = (X_j/Y_k) * sum_{i=0..n}
+t^(n-i) Y_{ji+k}, and multiplies by sigma*lam^n: nine families (eq3, eq9,
+eq10, eq12, eq19, eq44, eq45, eqA, eqPP) with sigma = lam = 1, and eq1,
+eq2 and eq8b rescaled. The other families add constant terms or several
+summands and keep their own builders.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, _fib, _luc
+from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, _fib, _luc, pair_sum
 from .numeric import format_rational, quote, rat_pow
 from .sequences import (
     A015530,
@@ -35,7 +34,6 @@ from .sequences import (
     PELL_LUCAS,
     generalized_u,
     generalized_v_def,
-    term,
 )
 
 
@@ -68,36 +66,14 @@ def _label(entry_id: str, params: dict) -> str:
 # a pure geometric/constant term. Sum sides store t^(n-i) weights as
 # outer_ratio = t, beta = 1/t.
 
-def _pair_sum(x, y, j, k):
-    """The two-sequence theorem on the stride-j subsequences of X = x and
-    Y = y (module docstring); X_0 = 0 and Y has X's recurrence."""
-    y_k = term(y, k)
-    t = (-y.c2) ** j * term(y, k - j) / y_k
+def _pair_sum(x, y, j, k, sigma=1, lam=1):
+    """:func:`engine.pair_sum` with X_0 = 0, divided by -X_j so that its one
+    nonzero LHS term is X_{jn+j}, then multiplied by sigma*lam^n."""
+    (_, x_j), rhs = pair_sum(x, y, j, k)
+    scale = sigma / x_j.coef
     return (
-        (GeometricTerm(1, 1, x, j, j),),
-        SumSide(term(x, j) / y_k, t, 1 / t, (Summand(1, y, j, k),)),
-    )
-
-
-def _eq1():
-    return (
-        (GeometricTerm(2, 2, FIBONACCI, 1, 1),),
-        SumSide(1, 1, 2, (Summand(1, LUCAS, 1, 0),)),
-    )
-
-
-def _eq2():
-    half = Fraction(-1, 2)
-    return (
-        (GeometricTerm(1, half, FIBONACCI, 1, 1),),
-        SumSide(1, 1, half, (Summand(1, LUCAS, 1, 1),)),
-    )
-
-
-def _eq4():
-    return (
-        (GeometricTerm(3, 3, FIBONACCI, 1, 1),),
-        SumSide(1, 1, 3, (Summand(1, LUCAS, 1, 0), Summand(1, FIBONACCI, 1, 1),)),
+        (GeometricTerm(sigma, lam, x, j, j),),
+        SumSide(rhs.outer_coef * scale, rhs.outer_ratio * lam, rhs.beta, rhs.summands),
     )
 
 
@@ -134,14 +110,6 @@ def _eq8(m):
     )
 
 
-def _eq8b(j):
-    ratio = 2 / _luc(j)
-    return (
-        (GeometricTerm(1, ratio, FIBONACCI, j, j),),
-        SumSide(_fib(j) / 2, 1, ratio, (Summand(1, LUCAS, j, 0),)),
-    )
-
-
 def _eq11():
     third = Fraction(1, 3)
     return (
@@ -174,20 +142,6 @@ def _eq33(j):
     )
 
 
-def _lzero3():
-    return (
-        (GeometricTerm(2, -2, FIBONACCI, 3, 0), GeometricTerm(2, 1)),
-        SumSide(1, 1, -2, (Summand(1, LUCAS, 3, 0),)),
-    )
-
-
-def _lzero6():
-    return (
-        (GeometricTerm(9, 9, FIBONACCI, 6, 0), GeometricTerm(8, 1)),
-        SumSide(4, 1, 9, (Summand(1, LUCAS, 6, 0),)),
-    )
-
-
 def _eqDT(j):
     sign = rat_pow(-1, j)
     ratio = 1 / _luc(j)
@@ -214,131 +168,106 @@ class _Family:
     citation: str
 
 
-def _grid(*points):
-    return tuple(points)
-
-
 _FAMILIES: dict[str, _Family] = {
-    "eq1": _Family(_eq1, _grid({}), "Sury's identity: powers of two against the Lucas numbers"),
-    "eq2": _Family(_eq2, _grid({}), "Martinjak's alternating half-weight Lucas sum"),
-    "eq3": _Family(
-        lambda: _pair_sum(FIBONACCI, LUCAS, 1, 1), _grid({}), "convolution form of Martinjak's identity"
+    "eq1": _Family(
+        lambda: _pair_sum(FIBONACCI, LUCAS, 1, 0, sigma=2, lam=2),
+        ({},),
+        "Sury's identity: powers of two against the Lucas numbers",
     ),
-    "eq4": _Family(_eq4, _grid({}), "Marques' base-3 variant of Sury's identity"),
+    "eq2": _Family(
+        lambda: _pair_sum(FIBONACCI, LUCAS, 1, 1, lam=Fraction(-1, 2)),
+        ({},),
+        "Martinjak's alternating half-weight Lucas sum",
+    ),
+    "eq3": _Family(
+        lambda: _pair_sum(FIBONACCI, LUCAS, 1, 1), ({},), "convolution form of Martinjak's identity"
+    ),
+    "eq4": _Family(lambda: _eq5(3), ({},), "Marques' base-3 variant of Sury's identity"),
     "eq5": _Family(
         _eq5,
-        _grid({"t": Fraction(2)}, {"t": Fraction(3)}, {"t": Fraction(-1, 2)}, {"t": Fraction(5)}),
+        ({"t": Fraction(2)}, {"t": Fraction(3)}, {"t": Fraction(-1, 2)}, {"t": Fraction(5)}),
         "Edgar's one-parameter family with weight t",
     ),
     "eq7": _Family(
         _eq7,
-        _grid(
-            *(
-                {"a": Fraction(a), "b": Fraction(b), "t": t}
-                for (a, b) in ((1, 1), (2, 1), (3, 1))
-                for t in (Fraction(1), Fraction(2), Fraction(-1, 2))
-            )
+        tuple(
+            {"a": Fraction(a), "b": Fraction(b), "t": t}
+            for (a, b) in ((1, 1), (2, 1), (3, 1))
+            for t in (Fraction(1), Fraction(2), Fraction(-1, 2))
         ),
         "Abd-Elhameed/Zeyada family over generalized Fibonacci-Lucas pairs",
     ),
     "eq8": _Family(
         _eq8,
-        _grid({"m": 3}, {"m": 6}, {"m": 9}),
+        ({"m": 3}, {"m": 6}, {"m": 9}),
         "closed-form m-step Lucas sums with weight half the m-th Lucas number",
     ),
     "eq8b": _Family(
-        _eq8b,
-        _grid({"j": 3}, {"j": 6}, {"j": 9}),
+        lambda j: _pair_sum(FIBONACCI, LUCAS, j, 0, lam=2 / _luc(j)),
+        ({"j": 3}, {"j": 6}, {"j": 9}),
         "Adegoke/Frontczak-style reciprocal-weight companions of the m-step sums",
     ),
     "eq9": _Family(
         lambda j, summand: _pair_sum(FIBONACCI, FIBONACCI if summand == "fibonacci" else LUCAS, j, 1),
-        _grid(
-            *(
-                {"j": j, "summand": s}
-                for j in (2, 3, 4)
-                for s in ("fibonacci", "lucas")
-            )
-        ),
+        tuple({"j": j, "summand": s} for j in (2, 3, 4) for s in ("fibonacci", "lucas")),
         "unit-offset j-step sums with Fibonacci or Lucas summands",
     ),
     "eq10": _Family(
         lambda k: _pair_sum(PELL, PELL, 1, k),
-        _grid({"k": 2}, {"k": 3}, {"k": 4}),
+        ({"k": 2}, {"k": 3}, {"k": 4}),
         "Pell sums starting at offset k",
     ),
     "eq11": _Family(
         _eq11,
-        _grid({}),
+        ({},),
         "Abd-Elhameed/Zeyada Pell-Lucas sum over down-shifted Pell numbers",
     ),
     "eq12": _Family(
         lambda j: _pair_sum(BRONZE, BRONZE, j, 1),
-        _grid({"j": 2}, {"j": 3}, {"j": 4}),
+        ({"j": 2}, {"j": 3}, {"j": 4}),
         "bronze Fibonacci j-step sums with unit offset",
     ),
     "eq19": _Family(
         lambda k: _pair_sum(FIBONACCI, LUCAS, 1, k),
-        _grid({"k": 1}, {"k": 2}, {"k": 3}, {"k": 4}),
+        ({"k": 1}, {"k": 2}, {"k": 3}, {"k": 4}),
         "Lucas-offset family producing F_{n+1} from sums starting at L_k",
     ),
     "eq23": _Family(
         _eq23,
-        _grid(*({"j": j} for j in range(1, 10))),
+        tuple({"j": j} for j in range(1, 10)),
         "zero-offset j-step Fibonacci weighted sum",
     ),
     "eq33": _Family(
         _eq33,
-        _grid(*({"j": j} for j in range(1, 10))),
+        tuple({"j": j} for j in range(1, 10)),
         "zero-offset j-step Lucas weighted sum",
     ),
-    "lzero3": _Family(
-        _lzero3,
-        _grid({}),
-        "polished 3-step form of the zero-offset Lucas sum",
-    ),
-    "lzero6": _Family(
-        _lzero6,
-        _grid({}),
-        "polished 6-step form of the zero-offset Lucas sum",
-    ),
+    "lzero3": _Family(lambda: _eq8(3), ({},), "polished 3-step form of the zero-offset Lucas sum"),
+    "lzero6": _Family(lambda: _eq8(6), ({},), "polished 6-step form of the zero-offset Lucas sum"),
     "eq44": _Family(
         lambda j, k: _pair_sum(FIBONACCI, FIBONACCI, j, k),
-        _grid(
-            *(
-                {"j": j, "k": k}
-                for j in range(2, 7)
-                for k in range(-(j - 1), j)
-                if k != 0
-            )
-        ),
+        tuple({"j": j, "k": k} for j in range(2, 7) for k in range(-(j - 1), j) if k != 0),
         "j-step Fibonacci sums with nonzero offset k (|k| < j)",
     ),
     "eq45": _Family(
         lambda j, k: _pair_sum(FIBONACCI, LUCAS, j, k),
-        _grid(
-            *(
-                {"j": j, "k": k}
-                for j in range(1, 7)
-                for k in range(-(j - 1), j)
-            )
-        ),
+        tuple({"j": j, "k": k} for j in range(1, 7) for k in range(-(j - 1), j)),
         "j-step Lucas sums with offset k (|k| < j)",
     ),
     "eqDT": _Family(
         _eqDT,
-        _grid({"j": 2}, {"j": 3}, {"j": 4}),
+        ({"j": 2}, {"j": 3}, {"j": 4}),
         "Dresden/Tulskikh reciprocal-weight Fibonacci step sums",
     ),
-    "eqPP": _Family(lambda: _pair_sum(PELL, PELL, 1, -1), _grid({}), "Pell sum with offset -1 and weight 2"),
+    "eqPP": _Family(lambda: _pair_sum(PELL, PELL, 1, -1), ({},), "Pell sum with offset -1 and weight 2"),
     "eqPP2": _Family(
         _eqPP2,
-        _grid({}),
+        ({},),
         "Dresden/Tulskikh companion: P_{n+2} against zero-offset Pell sums",
     ),
     "eqA": _Family(
         lambda k: _pair_sum(A015530, A015530, 1, k),
-        _grid({"k": 2}, {"k": 3}),
+        ({"k": 2}, {"k": 3}),
         "offset-k sums for the (4, 3) recurrence A015530",
     ),
 }

@@ -21,11 +21,14 @@ stream (:func:`_residuals`), one loop over it (:func:`_difference`) for a
 range or a single n, and one read-out of L_n, off the class walks, and
 L_n - Delta_n serve every caller, so nothing carried outgrows the sides.
 
-:func:`theorem2_descriptor` generates descriptors for any sequence and summand
-offset k, with weight t = -c2 * X_{k-1} / X_k, valid whenever X_k and X_{k-1}
-are both nonzero (k may be negative), read from one integer window.
-:func:`theorem1_descriptor` is its k = 0 case for normalized sequences (first
-term 1), with t = c1 - A_1, under its own id and citation.
+:func:`pair_sum` is the one builder of the two-sequence theorem: for X and
+Y of one recurrence it equates X_0*X_{jn+2j} - X_j*X_{jn+j} to a weighted
+sum of Y_{ji+k}, with weight t = (-c2)^j * Y_{k-j}/Y_k, valid whenever Y_k
+and Y_{k-j} are both nonzero (k may be negative), on ints throughout.
+:func:`theorem2_descriptor` is its Y = X, j = 1 case for any sequence and
+offset k, and :func:`theorem1_descriptor` is theorem2's k = 0 case for
+normalized sequences (first term 1), with t = c1 - A_1, each under its own
+id and citation; :mod:`catalog` builds 91 of its entries from it.
 
 Product identities of d'Ocagne and Cassini type are provided as exact
 two-sided evaluations; the companion-matrix determinant gives an independent
@@ -40,7 +43,7 @@ from itertools import repeat
 from math import gcd, lcm
 
 from .numeric import ensure_fraction, fraction_fields, lowest_terms, rat_pow
-from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, int_window, step_scale
+from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, step_scale
 from .sequences import stride_recurrence, term, window
 
 
@@ -291,37 +294,45 @@ def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:
     return _read_out(rec, *_difference(d, rec, n, n))
 
 
-def _weighted_sum(x: SequenceDef, k: int, id: str, citation: str) -> IdentityDescriptor:
-    """The descriptor of :func:`theorem2_descriptor`, under the given id and citation.
+def pair_sum(x: SequenceDef, y: SequenceDef, j: int, k: int) -> tuple[tuple[GeometricTerm, ...], SumSide]:
+    """(lhs, rhs) of the two-sequence theorem on the stride-j subsequences
+    X_{jn} of x and Y_{jn+k} of y, for x and y of one recurrence and j >= 1:
 
-    X_{k-1} and X_k come as ints from one :func:`sequences.int_window`, and
-    X_2 = c1*X_1 + c2*X_0, so t and the outer coefficient are each one
-    fraction of ints, and beta = 1/t is t's own ints swapped.
+        X_0*X_{jn+2j} - X_j*X_{jn+j}
+            = ((X_0*X_{2j} - X_j^2) / Y_k) * sum_{i=0..n} t^{n-i} Y_{ji+k}
+
+    with t = (-c2)^j * Y_{k-j}/Y_k. Both subsequences obey (a, b) = (V_j,
+    -(-c2)^j), which :func:`sequences.stride_recurrence` reads as ints with
+    Y_{k-j} and Y_k (at j = 1 one :func:`sequences.int_window`). X_0 and X_1
+    are fields, X_j for j >= 2 is read the same way, and X_{2j} = a*X_j +
+    b*X_0, so t and the outer coefficient are each one fraction of ints, and
+    beta = 1/t is t's own ints swapped. Requires Y_k != 0 and Y_{k-j} != 0,
+    which also forces t != 0; a refusal names the summand's sequence X, as
+    for theorem2.
     """
-    u, v, p, q = int_window(x, k - 1)  # X_{k-1} = u/p, X_k = v/q
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if x is not y and (x.c1 != y.c1 or x.c2 != y.c2):
+        raise ValueError("the two sequences must share one recurrence (c1, c2)")
+    (an, ad), (bn, bd), (u, p), (v, q) = stride_recurrence(y, j, k - j)  # Y_{k-j} = u/p, Y_k = v/q
     if v == 0:
         raise OffsetInvalidError(f"X_k = 0 at k={k}: offset violates the nonzero hypothesis")
     if u == 0:
-        raise OffsetInvalidError(f"X_(k-1) = 0 at k={k}: offset violates the nonzero hypothesis")
-    (n1, d1), (n2, d2) = x.c1.as_integer_ratio(), x.c2.as_integer_ratio()
-    (a0, b0), (a1, b1) = x.x0.as_integer_ratio(), x.x1.as_integer_ratio()
-    # p and q are E*D^m and E*D^(m+1) in some order: cancelling their gcd, the
-    # smaller, first leaves t's own reduction operands the size of X_k
+        raise OffsetInvalidError(f"X_(k-{j}) = 0 at k={k}: offset violates the nonzero hypothesis")
+    # p and q are powers of one walk's scale apart, one dividing the other:
+    # cancelling their gcd, the smaller, first leaves t's own reduction
+    # operands the size of Y_k
     g = gcd(p, q)
-    t = Fraction(-n2 * u * (q // g), d2 * (p // g) * v)
+    t = Fraction(-bn * u * (q // g), bd * (p // g) * v)
     beta = Fraction(t.denominator, t.numerator)
-    # X_2 = x2/y2, and outer = (X_0*X_2 - X_1^2) / X_k
-    x2, y2 = n1 * a1 * d2 * b0 + n2 * a0 * d1 * b1, d1 * d2 * b0 * b1
+    # X_0 = a0/b0, X_j = a1/b1, X_{2j} = x2/y2 and outer = (X_0*X_{2j} - X_j^2) / Y_k
+    x_j = x.x1 if j == 1 else Fraction(*stride_recurrence(x, j)[3])
+    (a0, b0), (a1, b1) = x.x0.as_integer_ratio(), x_j.as_integer_ratio()
+    x2, y2 = an * a1 * bd * b0 + bn * a0 * ad * b1, ad * bd * b0 * b1
     outer = Fraction((a0 * x2 * b1 * b1 - a1 * a1 * b0 * y2) * q, b0 * y2 * b1 * b1 * v)
-    return IdentityDescriptor(
-        id=id,
-        lhs=(
-            GeometricTerm(x.x0, _ONE, x, 1, 2),
-            GeometricTerm(-x.x1, _ONE, x, 1, 1),
-        ),
-        rhs=SumSide(outer, t, beta, (Summand(_ONE, x, 1, k),)),
-        n_min=0,
-        citation=citation,
+    return (
+        (GeometricTerm(x.x0, _ONE, x, j, 2 * j), GeometricTerm(-x_j, _ONE, x, j, j)),
+        SumSide(outer, t, beta, (Summand(_ONE, y, j, k),)),
     )
 
 
@@ -338,20 +349,25 @@ def theorem1_descriptor(a: SequenceDef) -> IdentityDescriptor:
         raise ValueError("normalized sequence required: x0 must equal 1")
     if a.c1 == a.x1:
         raise DegenerateRatioError("degenerate weight: c1 - x1 = 0")
-    return _weighted_sum(
-        a, 0, f"theorem1[{a.label or 'A'}]", "generated: normalized-sequence weighted sum"
+    lhs, rhs = pair_sum(a, a, 1, 0)
+    return IdentityDescriptor(
+        f"theorem1[{a.label or 'A'}]", lhs, rhs, citation="generated: normalized-sequence weighted sum"
     )
 
 
 def theorem2_descriptor(x: SequenceDef, k: int) -> IdentityDescriptor:
-    """Weighted-sum identity for an arbitrary sequence with summand offset k.
+    """Weighted-sum identity for an arbitrary sequence with summand offset k:
+    :func:`pair_sum` with Y = X and stride 1, that is
 
-    Asserts X_0*X_{n+2} - X_1*X_{n+1}
-              = ((X_0*X_2 - X_1^2) / X_k) * sum_{i=0..n} t^{n-i} X_{i+k}
-    with t = -c2*X_{k-1}/X_k. Requires X_k != 0 and X_{k-1} != 0, which also
-    forces t != 0 (c2 is nonzero by construction).
+    X_0*X_{n+2} - X_1*X_{n+1}
+        = ((X_0*X_2 - X_1^2) / X_k) * sum_{i=0..n} t^{n-i} X_{i+k}
+
+    with t = -c2*X_{k-1}/X_k. Requires X_k != 0 and X_{k-1} != 0.
     """
-    return _weighted_sum(x, k, f"theorem2[{x.label or 'X'},k={k}]", f"generated: offset-{k} weighted sum")
+    lhs, rhs = pair_sum(x, x, 1, k)
+    return IdentityDescriptor(
+        f"theorem2[{x.label or 'X'},k={k}]", lhs, rhs, citation=f"generated: offset-{k} weighted sum"
+    )
 
 
 def docagne_general(x: SequenceDef, k: int, n: int) -> tuple[Fraction, Fraction]:

@@ -824,6 +824,7 @@ GOLDEN_CASES = {
     "fuzz_both_seed2": ("fuzz", "--seed", "2", "--count", "1000", "--theorem", "both"),
     "fuzz_both_seed3": ("fuzz", "--seed", "3", "--count", "1000", "--theorem", "both"),
     "generate_json": ("generate", *_CUSTOM, "--k", "-40", "--json"),
+    "generate_theorem1_json": ("generate", *_CUSTOM, "--theorem1", "--json"),
     # generate_json's document with outer_coef's numerator raised by one
     "verify_corrupt": ("verify", "--json", str(GOLDEN / "theorem2_k-40_corrupt.json")),
     "seq_eval_backward": ("seq-eval", *_CUSTOM, "--n=-700"),

@@ -14,6 +14,7 @@ from identity_forge.engine import (
     classical_eval,
     descriptor_eval,
     docagne_general,
+    pair_sum,
     rewrite_scale,
     theorem1_descriptor,
     theorem2_descriptor,
@@ -30,9 +31,9 @@ from identity_forge.sequences import (
     SequenceDef,
     term,
 )
-from identity_forge.verifier import verify
+from identity_forge.verifier import DEFAULT_POOL, verify
 
-from oracles import brute_term, fib, luc, pell
+from oracles import brute_sides, brute_term, fib, luc, pell
 
 
 def random_def(rng, force_x0_one=False):
@@ -152,6 +153,51 @@ class TestTheorem2:
         assert rhs.outer_ratio == -x.c2 * xk1 / xk
         assert rhs.beta == 1 / rhs.outer_ratio
         assert rhs.outer_coef == (x.x0 * x2 - x.x1 * x.x1) / xk
+
+
+class TestPairSum:
+    def test_sury_identity(self):
+        # 0*F_{n+2} - F_{n+1} = -(1/2) * sum (1/2)^(n-i) L_i, i.e. sum 2^i L_i = 2^(n+1) F_{n+1}
+        lhs, rhs = pair_sum(FIBONACCI, LUCAS, 1, 0)
+        assert lhs == (GeometricTerm(0, 1, FIBONACCI, 1, 2), GeometricTerm(-1, 1, FIBONACCI, 1, 1))
+        assert rhs == SumSide(Fraction(-1, 2), Fraction(1, 2), 2, (Summand(1, LUCAS, 1, 0),))
+
+    def test_random_pairs_hold_exactly_when_built(self):
+        # X_0 != 0 at j >= 2 reaches the X_{2j} term, which neither theorem2
+        # (j = 1) nor the catalog (X_0 = 0) uses
+        rng = random.Random(7)
+        nonzero = [q for q in DEFAULT_POOL if q != 0]
+        built = skipped = far_x2j = 0
+        for _ in range(2000):
+            c1, c2 = rng.choice(DEFAULT_POOL), rng.choice(nonzero)
+            x = SequenceDef(c1, c2, rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL))
+            y = SequenceDef(c1, c2, rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL))
+            j, k = rng.randint(1, 4), rng.randint(-4, 5)
+            y_k, y_kj = (brute_term(c1, c2, y.x0, y.x1, m) for m in (k, k - j))
+            if y_k == 0 or y_kj == 0:
+                with pytest.raises(OffsetInvalidError):
+                    pair_sum(x, y, j, k)
+                skipped += 1
+                continue
+            d = IdentityDescriptor("pair", *pair_sum(x, y, j, k))
+            assert verify(d, 0, 32).passed, (x, y, j, k)
+            lhs, rhs = brute_sides(d, 3)
+            assert lhs == rhs, (x, y, j, k)
+            built += 1
+            far_x2j += j >= 2 and x.x0 != 0
+        assert (built, skipped, far_x2j) == (1892, 108, 1275)
+
+    def test_refusal_names_the_zero_term(self):
+        with pytest.raises(OffsetInvalidError, match=r"^X_k = 0 at k=0: offset"):
+            pair_sum(LUCAS, FIBONACCI, 2, 0)
+        with pytest.raises(OffsetInvalidError, match=r"^X_\(k-2\) = 0 at k=2: offset"):
+            pair_sum(LUCAS, FIBONACCI, 2, 2)
+
+    def test_rejects_mixed_recurrences_and_stride_zero(self):
+        with pytest.raises(ValueError, match="one recurrence"):
+            pair_sum(FIBONACCI, PELL, 1, 1)
+        with pytest.raises(ValueError, match="j must be >= 1"):
+            pair_sum(FIBONACCI, LUCAS, 0, 1)
 
 
 class TestProductIdentities:
