@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from identity_forge.serialize import ParseError, from_json, to_json, to_latex
 from identity_forge.verifier import FuzzConfig, theorem2_instances, verify
 from identity_forge.engine import OffsetInvalidError
 from identity_forge.numeric import format_rational, parse_rational
+from identity_forge.sequences import SequenceDef
 
 rationals = st.fractions(
     min_value=Fraction(-99), max_value=Fraction(99), max_denominator=40
@@ -138,6 +140,85 @@ class TestJsonErrors:
         doc = self._doc(n_min=0.0)
         with pytest.raises(ParseError, match="expected an integer"):
             from_json(json.dumps(doc))
+
+
+# one document per shape: one LHS term; a `seq: null` constant term; two
+# summands; a theorem2 descriptor at a negative offset
+FAULT_DOCUMENTS = (
+    ("eq1", lambda: entry("eq1").descriptor),
+    ("eq8[m=3]", lambda: entry("eq8", m=3).descriptor),
+    ("eq5[t=3]", lambda: entry("eq5", t=3).descriptor),
+    (
+        "theorem2[k=-4]",
+        lambda: theorem2_descriptor(SequenceDef(Fraction(1, 2), Fraction(-1, 3), 1, 2), -4),
+    ),
+)
+FAULT_VALUES = (None, True, 1.5, 7, -1, "x", "1/0", "2/4", [], {}, "0")
+
+
+def _paths(value, steps=()):
+    """The key path of value itself and of every value inside it, in document order."""
+    yield steps
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(child, (*steps, key))
+
+
+def _faulted(text: str, steps: tuple, fault: str):
+    """text's document with one fault at steps: a JSON value, "delete" or "unknown key"."""
+    doc = json.loads(text)
+    if not steps:
+        return json.loads(fault) if fault != "unknown key" else {**doc, "zz": 0}
+    parent = doc
+    for key in steps[:-1]:
+        parent = parent[key]
+    if fault == "delete":
+        del parent[steps[-1]]
+    elif fault == "unknown key":
+        parent[steps[-1]]["zz"] = 0
+    else:
+        parent[steps[-1]] = json.loads(fault)
+    return doc
+
+
+def single_fault_lines() -> list[str]:
+    """One line per single-fault document: its name, the location, the fault
+    and the ParseError text, or ok.
+
+    Each value in every document takes each of FAULT_VALUES in its place;
+    each key is also deleted, and each object also gets an unknown key.
+    Rewrite the golden with
+    PYTHONPATH=src:tests python -c "import test_serialize as t;
+    open('tests/golden/json_faults.txt', 'w').writelines(t.single_fault_lines())"
+    """
+    lines = []
+    for name, build in FAULT_DOCUMENTS:
+        text = to_json(build())
+        doc = json.loads(text)
+        for steps in _paths(doc):
+            node = doc
+            for key in steps:
+                node = node[key]
+            faults = [json.dumps(v) for v in FAULT_VALUES]
+            if steps and isinstance(steps[-1], str):
+                faults.append("delete")
+            if isinstance(node, dict):
+                faults.append("unknown key")
+            where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in steps)
+            for fault in faults:
+                try:
+                    from_json(json.dumps(_faulted(text, steps, fault)))
+                    outcome = "ok"
+                except ParseError as exc:
+                    outcome = str(exc)
+                lines.append(f"{name}\t{where}\t{fault}\t{outcome}\n")
+    return lines
+
+
+def test_single_faults_match_the_golden():
+    # every refusal's text and location, one fault at a time
+    golden = (Path(__file__).parent / "golden" / "json_faults.txt").read_text()
+    assert single_fault_lines() == golden.splitlines(keepends=True)
 
 
 class TestLatex:
