@@ -31,13 +31,6 @@ from .numeric import (
     parse_rational,
     quote,
 )
-from .oeis import (
-    FAMILY_TO_OEIS,
-    OeisUnavailableError,
-    bundled_fixtures_dir,
-    compare_terms,
-    get_terms,
-)
 from .sequences import SequenceDef, family_key, named_def, term
 from .serialize import ParseError, from_json, to_json, to_latex
 from .verifier import (
@@ -295,10 +288,15 @@ def _fixtures_dir(args) -> tuple[Path, Path]:
     local = Path("fixtures")
     if local.is_dir():
         return local, local
+    from .oeis import bundled_fixtures_dir
+
     return bundled_fixtures_dir(), local
 
 
 def _cmd_oeis_check(args) -> int:
+    # imported here, not at module level: no other command uses the OEIS module
+    from .oeis import FAMILY_TO_OEIS, OeisUnavailableError, compare_terms, get_terms
+
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     family = family_key(args.family)

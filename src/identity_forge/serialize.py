@@ -1,11 +1,13 @@
 """JSON wire format and LaTeX rendering for identity descriptors.
 
-Rationals travel as canonical "p/q" text (never floating point), so a
-descriptor survives a round trip field for field. The LaTeX renderer emits
-one display equation per descriptor: recognizable families get their
-conventional letters (F, L, P, Q, B) and anything else falls back to
-X, Y, ... with the labels in a trailing comment. When beta * outer_ratio = 1
-the sum is rendered in the classical t^(n-i) presentation.
+The wire format is stated once, as one field table per wire object, which
+to_json and from_json both read. Rationals travel as canonical "p/q" text
+(never floating point), so a descriptor survives a round trip field for
+field. The LaTeX renderer emits one display equation per descriptor:
+recognizable families get their conventional letters (F, L, P, Q, B) and
+anything else falls back to X, Y, ... with the labels in a trailing comment.
+When beta * outer_ratio = 1 the sum is rendered in the classical t^(n-i)
+presentation.
 """
 
 from __future__ import annotations
@@ -27,112 +29,120 @@ class ParseError(ValueError):
         self.location = location
 
 
-def _seq_doc(seq: SequenceDef | None):
-    if seq is None:
-        return None
-    return {
-        "c1": format_rational(seq.c1),
-        "c2": format_rational(seq.c2),
-        "x0": format_rational(seq.x0),
-        "x1": format_rational(seq.x1),
-        "label": seq.label,
-    }
+def _value(cls, expected: str, convert=None, encode=lambda value: value):
+    """The field kind of a JSON value of type cls, decoded by convert.
+
+    A field kind is a pair (encode, decode): encode(value) gives the field's
+    JSON value, and decode(value, where) the field's value from a JSON value,
+    or raises a ParseError at the field's location where.
+    """
+
+    def decode(value, where: str):
+        if type(value) is not cls:  # a bool is no int here
+            raise ParseError(f"expected {expected}", where)
+        if convert is None:
+            return value
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ParseError(str(exc), where) from None
+
+    return encode, decode
+
+
+def _object(build, **fields):
+    """The field kind of a wire object, from its field table: each field's
+    name and kind, in document order, and the type that build makes of the
+    decoded values, in that order. The first fault in document order is the
+    one reported, and a value the type refuses is reported at the object."""
+    names = fields.keys()
+
+    def encode(obj) -> dict:
+        # schema_version is no attribute of a descriptor; its kind writes the constant
+        return {name: enc(getattr(obj, name, None)) for name, (enc, _) in fields.items()}
+
+    def decode(value, where: str):
+        if type(value) is not dict:
+            raise ParseError("expected an object", where)
+        if value.keys() != names:
+            extra = value.keys() - names
+            if extra:
+                raise ParseError(f"unknown field {quote(min(extra))}", where)
+            missing = next(name for name in names if name not in value)
+            raise ParseError(f"missing field {missing!r}", where)
+        args = [dec(value[name], f"{where}.{name}") for name, (_, dec) in fields.items()]
+        try:
+            return build(*args)
+        except ValueError as exc:  # a value the type itself refuses
+            raise ParseError(str(exc), where) from None
+
+    return encode, decode
+
+
+def _list_of(kind):
+    """The field kind of a list of one kind's values, decoded as a tuple."""
+    encode, decode = kind
+
+    def decode_list(value, where: str) -> tuple:
+        if type(value) is not list:
+            raise ParseError("expected a list", where)
+        return tuple([decode(item, f"{where}[{pos}]") for pos, item in enumerate(value)])
+
+    return (lambda items: [encode(item) for item in items]), decode_list
+
+
+def _or_null(kind, refusal: str | None = None):
+    """kind, with null for None; a null is refused with refusal, if one is given."""
+    encode, decode = kind
+
+    def decode_or_null(value, where: str):
+        if value is None and refusal is not None:
+            raise ParseError(refusal, where)
+        return None if value is None else decode(value, where)
+
+    return (lambda value: None if value is None else encode(value)), decode_or_null
+
+
+def _version(version: int) -> int:
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version}")
+    return version
+
+
+def _n_min(n_min: int) -> int:
+    if n_min < 0:
+        raise ValueError("n_min must be >= 0")
+    return n_min
+
+
+_RATIONAL = _value(str, "a string", parse_rational, format_rational)
+_INT = _value(int, "an integer")
+_STRING = _value(str, "a string")
+_SEQUENCE = _object(SequenceDef, c1=_RATIONAL, c2=_RATIONAL, x0=_RATIONAL, x1=_RATIONAL, label=_STRING)
+_TERM = _object(
+    GeometricTerm, coef=_RATIONAL, ratio=_RATIONAL, seq=_or_null(_SEQUENCE), stride=_INT, offset=_INT
+)
+_SUMMAND_SEQUENCE = _or_null(_SEQUENCE, "summands require a sequence")
+_SUMMAND = _object(Summand, coef=_RATIONAL, seq=_SUMMAND_SEQUENCE, stride=_INT, offset=_INT)
+_SUM_SIDE = _object(
+    SumSide, outer_coef=_RATIONAL, outer_ratio=_RATIONAL, beta=_RATIONAL, summands=_list_of(_SUMMAND)
+)
+_encode_document, _decode_document = _object(
+    lambda _, id, n_min, citation, lhs, rhs: IdentityDescriptor(id, lhs, rhs, n_min, citation),
+    schema_version=_value(int, "an integer", _version, lambda _: SCHEMA_VERSION),
+    id=_STRING,
+    n_min=_value(int, "an integer", _n_min),
+    citation=_STRING,
+    lhs=_list_of(_TERM),
+    rhs=_SUM_SIDE,
+)
 
 
 def to_json(d: IdentityDescriptor, indent: int | None = 2) -> str:
-    """Serialize with a fixed key order; output is deterministic."""
+    """Serialize in the field tables' key order; output is deterministic."""
     import json  # imported here, not at module level: only the --json paths use it
 
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "id": d.id,
-        "n_min": d.n_min,
-        "citation": d.citation,
-        "lhs": [
-            {
-                "coef": format_rational(t.coef),
-                "ratio": format_rational(t.ratio),
-                "seq": _seq_doc(t.seq),
-                "stride": t.stride,
-                "offset": t.offset,
-            }
-            for t in d.lhs
-        ],
-        "rhs": {
-            "outer_coef": format_rational(d.rhs.outer_coef),
-            "outer_ratio": format_rational(d.rhs.outer_ratio),
-            "beta": format_rational(d.rhs.beta),
-            "summands": [
-                {
-                    "coef": format_rational(s.coef),
-                    "seq": _seq_doc(s.seq),
-                    "stride": s.stride,
-                    "offset": s.offset,
-                }
-                for s in d.rhs.summands
-            ],
-        },
-    }
-    return json.dumps(doc, indent=indent)
-
-
-def _need(obj: dict, keys: tuple, where: str):
-    extra = set(obj) - set(keys)
-    if extra:
-        raise ParseError(f"unknown field {quote(sorted(extra)[0])}", where)
-    for key in keys:
-        if key not in obj:
-            raise ParseError(f"missing field {key!r}", where)
-
-
-def _as_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError("expected an object", where)
-    return value
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError("expected an integer", where)
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError("expected a string", where)
-    return value
-
-
-def _rational(value, where: str) -> Fraction:
-    text = _as_str(value, where)
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), where) from None
-
-
-def _build(cls, where: str, *args, **kwargs):
-    """cls(*args, **kwargs), with a rejected value reported as a ParseError at where."""
-    try:
-        return cls(*args, **kwargs)
-    except ValueError as exc:
-        raise ParseError(str(exc), where) from None
-
-
-def _seq_from(doc, where: str) -> SequenceDef | None:
-    if doc is None:
-        return None
-    obj = _as_object(doc, where)
-    _need(obj, ("c1", "c2", "x0", "x1", "label"), where)
-    return _build(
-        SequenceDef,
-        where,
-        _rational(obj["c1"], f"{where}.c1"),
-        _rational(obj["c2"], f"{where}.c2"),
-        _rational(obj["x0"], f"{where}.x0"),
-        _rational(obj["x1"], f"{where}.x1"),
-        label=_as_str(obj["label"], f"{where}.label"),
-    )
+    return json.dumps(_encode_document(d), indent=indent)
 
 
 def from_json(text: str) -> IdentityDescriptor:
@@ -143,67 +153,7 @@ def from_json(text: str) -> IdentityDescriptor:
         doc = json.loads(text, parse_int=parse_int)
     except (ValueError, RecursionError) as exc:  # bad syntax, an overlong int, deep nesting
         raise ParseError(f"invalid JSON: {exc}", "$") from None
-    obj = _as_object(doc, "$")
-    _need(obj, ("schema_version", "id", "n_min", "citation", "lhs", "rhs"), "$")
-    version = _as_int(obj["schema_version"], "$.schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version}", "$.schema_version")
-    if not isinstance(obj["lhs"], list):
-        raise ParseError("expected a list", "$.lhs")
-    lhs = []
-    for pos, item in enumerate(obj["lhs"]):
-        where = f"$.lhs[{pos}]"
-        t = _as_object(item, where)
-        _need(t, ("coef", "ratio", "seq", "stride", "offset"), where)
-        lhs.append(
-            _build(
-                GeometricTerm,
-                where,
-                _rational(t["coef"], f"{where}.coef"),
-                _rational(t["ratio"], f"{where}.ratio"),
-                _seq_from(t["seq"], f"{where}.seq"),
-                _as_int(t["stride"], f"{where}.stride"),
-                _as_int(t["offset"], f"{where}.offset"),
-            )
-        )
-    rhs_obj = _as_object(obj["rhs"], "$.rhs")
-    _need(rhs_obj, ("outer_coef", "outer_ratio", "beta", "summands"), "$.rhs")
-    if not isinstance(rhs_obj["summands"], list):
-        raise ParseError("expected a list", "$.rhs.summands")
-    summands = []
-    for pos, item in enumerate(rhs_obj["summands"]):
-        where = f"$.rhs.summands[{pos}]"
-        s = _as_object(item, where)
-        _need(s, ("coef", "seq", "stride", "offset"), where)
-        seq = _seq_from(s["seq"], f"{where}.seq")
-        if seq is None:
-            raise ParseError("summands require a sequence", f"{where}.seq")
-        summands.append(
-            _build(
-                Summand,
-                where,
-                _rational(s["coef"], f"{where}.coef"),
-                seq,
-                _as_int(s["stride"], f"{where}.stride"),
-                _as_int(s["offset"], f"{where}.offset"),
-            )
-        )
-    rhs = SumSide(
-        _rational(rhs_obj["outer_coef"], "$.rhs.outer_coef"),
-        _rational(rhs_obj["outer_ratio"], "$.rhs.outer_ratio"),
-        _rational(rhs_obj["beta"], "$.rhs.beta"),
-        tuple(summands),
-    )
-    n_min = _as_int(obj["n_min"], "$.n_min")
-    if n_min < 0:
-        raise ParseError("n_min must be >= 0", "$.n_min")
-    return IdentityDescriptor(
-        id=_as_str(obj["id"], "$.id"),
-        lhs=tuple(lhs),
-        rhs=rhs,
-        n_min=n_min,
-        citation=_as_str(obj["citation"], "$.citation"),
-    )
+    return _decode_document(doc, "$")
 
 
 _KNOWN_SYMBOLS = {

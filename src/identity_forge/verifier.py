@@ -187,9 +187,10 @@ def _fuzz(cfg: FuzzConfig, instances, generator, skip) -> list[VerificationRepor
             )
             continue
         report = verify(d, n_lo, n_hi)
-        reports.append(
-            VerificationReport(label, n_lo, n_hi, report.status, None, report.first_failure, report.elapsed)
-        )
+        # verify's report is new and held nowhere else, so it is relabelled in place, not
+        # copied; calling verify itself keeps these sweeps in perfbench's traces
+        object.__setattr__(report, "id", label)
+        reports.append(report)
     return reports
 
 

@@ -799,7 +799,10 @@ def test_only_the_json_paths_load_json(tmp_path, argv, loads_json):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert ("json" in out.read_text().split("\n")) == loads_json
+    modules = out.read_text().split("\n")
+    assert ("json" in modules) == loads_json
+    # oeis-check is the only command that loads the OEIS module
+    assert "identity_forge.oeis" not in modules
 
 
 def test_custom_sequence_verification_pipeline(capsys, tmp_path):
