@@ -828,6 +828,8 @@ GOLDEN_CASES = {
     "fuzz_both_seed3": ("fuzz", "--seed", "3", "--count", "1000", "--theorem", "both"),
     "generate_json": ("generate", *_CUSTOM, "--k", "-40", "--json"),
     "generate_theorem1_json": ("generate", *_CUSTOM, "--theorem1", "--json"),
+    # generate_json's descriptor scaled by 1/(X_0*X_2 - X_1^2)
+    "generate_reduced": ("generate", *_CUSTOM, "--k", "-40", "--reduced", "--json"),
     # generate_json's document with outer_coef's numerator raised by one
     "verify_corrupt": ("verify", "--json", str(GOLDEN / "theorem2_k-40_corrupt.json")),
     "seq_eval_backward": ("seq-eval", *_CUSTOM, "--n=-700"),

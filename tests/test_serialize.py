@@ -7,12 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from identity_forge.catalog import all_entries, entry
-from identity_forge.engine import theorem2_descriptor
+from identity_forge.engine import (
+    DegenerateRatioError,
+    GeometricTerm,
+    IdentityDescriptor,
+    Summand,
+    SumSide,
+    rewrite_scale,
+    theorem1_descriptor,
+    theorem2_descriptor,
+)
 from identity_forge.serialize import ParseError, from_json, to_json, to_latex
-from identity_forge.verifier import FuzzConfig, theorem2_instances, verify
+from identity_forge.verifier import FuzzConfig, theorem1_instances, theorem2_instances, verify
 from identity_forge.engine import OffsetInvalidError
 from identity_forge.numeric import format_rational, parse_rational
-from identity_forge.sequences import SequenceDef
+from identity_forge.sequences import FIBONACCI, LUCAS, PELL, SequenceDef, term
 
 rationals = st.fractions(
     min_value=Fraction(-99), max_value=Fraction(99), max_denominator=40
@@ -273,3 +282,122 @@ class TestLatex:
     def test_fractional_coefficient_uses_frac(self):
         text = to_latex(entry("eq10", k=3).descriptor)
         assert "\\frac{1}{5}" in text
+
+
+def _built(cfg: FuzzConfig, count: int):
+    """(name, descriptor) for the first count theorem1 and theorem2
+    descriptors of cfg's streams that build, each followed by its reduced
+    form where generate --reduced gives one."""
+    streams = (
+        (theorem1_instances(cfg), theorem1_descriptor),
+        (theorem2_instances(cfg), theorem2_descriptor),
+    )
+    for instances, build in streams:
+        built = 0
+        for label, seq, *k in instances:
+            if built == count:
+                break
+            try:
+                d = build(seq, *k)
+            except (DegenerateRatioError, OffsetInvalidError):
+                continue
+            built += 1
+            yield label, d
+            front = seq.x0 * term(seq, 2) - seq.x1 * seq.x1
+            if front:  # generate --reduced scales by 1/(X_0*X_2 - X_1^2)
+                yield f"{label} reduced", rewrite_scale(d, 1 / front, 1)
+
+
+def _hand_built():
+    """(name, descriptor) for each branch of the renderer."""
+    T, S = GeometricTerm, Summand
+    one = SumSide(1, 1, 1, (S(1, FIBONACCI, 1, 0),))
+    f2 = (T(1, 1, FIBONACCI, 1, 2),)
+    unnamed = [SequenceDef(5, 1, 0, m) for m in range(1, 6)]
+    third = Fraction(-1, 3)
+    cases = {
+        "every lhs coef 0": ((T(0, 2, FIBONACCI, 1, 1), T(0, 1)), one),
+        "no lhs term": ((), one),
+        "constants 1, -1, 3/4": ((T(1, 1), T(-1, 1), T(Fraction(3, 4), 1)), one),
+        "leading -1 constant": ((T(-1, 1), T(-7, 1, LUCAS, 1, 0)), one),
+        "geometric constants": ((T(1, 2), T(2, 2), T(-2, 2), T(5, third)), one),
+        "coef = ratio": ((T(2, 2, FIBONACCI, 1, 1), T(third, third, LUCAS, 2, 0)), one),
+        "coef = -ratio": ((T(-2, 2, FIBONACCI, 1, 1), T(-third, third, LUCAS, 2, -1)), one),
+        "leading coef = -ratio": ((T(-3, 3, PELL, 3, 2), T(1, -1, PELL, 1, 0)), one),
+        "coef = ratio = -1": ((T(-1, -1, FIBONACCI, 1, 0), T(1, -1, LUCAS, 1, 0)), one),
+        "fraction coef and ratio": (
+            (T(Fraction(-5, 7), Fraction(2, 9), FIBONACCI, 4, -3), T(3, Fraction(1, 2))),
+            one,
+        ),
+        "ratio 0": ((T(4, 0, FIBONACCI, 1, 0),), one),
+        "stride 0 at negative offsets": (
+            (T(1, 1, FIBONACCI, 0, -3), T(-2, 3, LUCAS, 0, -1)),
+            SumSide(1, 1, 1, (S(1, LUCAS, 0, -2), S(-1, FIBONACCI, 0, 0))),
+        ),
+        "five unnamed": (
+            tuple(T(1, 1, seq, 1, 0) for seq in unnamed[:3]),
+            SumSide(1, 1, 1, tuple(S(m, seq, 2, m) for m, seq in enumerate(unnamed[1:], 1))),
+        ),
+        "six unnamed, summands first": (
+            (T(1, 1, FIBONACCI, 1, 0),),
+            SumSide(1, 1, 1, tuple(S(1, seq, 1, 0) for seq in (*unnamed, SequenceDef(6, 1, 0, 1)))),
+        ),
+        "unnamed repeated": (
+            (T(1, 1, unnamed[0], 1, 2), T(1, 1, unnamed[1], 1, 1)),
+            SumSide(1, 1, 1, (S(1, unnamed[1], 1, 0), S(1, unnamed[0], 1, 1))),
+        ),
+        "labelled and empty label": (
+            (T(1, 1, SequenceDef(4, 3, 0, 1, label="A015530"), 1, 0),),
+            SumSide(1, 1, 1, (S(1, SequenceDef(4, 3, 1, 1), 1, 0),)),
+        ),
+        "custom equal to Fibonacci": (
+            (T(1, 1, SequenceDef(1, 1, 0, 1, label="custom"), 1, 2),),
+            SumSide(1, 1, 1, (S(1, SequenceDef(Fraction(2, 2), 1, 0, 1, label="mine"), 1, 0),)),
+        ),
+        "outer_coef -1": (f2, SumSide(-1, 1, 1, (S(1, LUCAS, 1, 0),))),
+        "outer_coef -1 classical": (f2, SumSide(-1, third, -3, (S(1, LUCAS, 1, 0),))),
+        "outer_coef -1 with outer_ratio": (f2, SumSide(-1, 2, Fraction(1, 3), (S(1, LUCAS, 1, 0),))),
+        "beta 1, outer_ratio 2": ((T(1, 2, FIBONACCI, 1, 2),), SumSide(1, 2, 1, (S(1, LUCAS, 1, 0),))),
+        "beta 1, outer_ratio -1/3, outer_coef 5/2": (
+            (T(1, 2, FIBONACCI, 1, 2),),
+            SumSide(Fraction(5, 2), third, 1, (S(1, LUCAS, 1, 0), S(-2, FIBONACCI, 3, -1))),
+        ),
+        "beta -2, outer_ratio 1": (
+            (T(1, 2, FIBONACCI, 1, 2),),
+            SumSide(-4, 1, -2, (S(Fraction(-1, 2), LUCAS, 1, 0), S(Fraction(3, 2), PELL, 1, 5))),
+        ),
+        "classical at t = 1": (f2, one),
+        "no summands": (f2, SumSide(2, 3, 5, ())),
+        "summand coefs -1, 0, 1, 2, -3/4": (
+            f2,
+            SumSide(1, 1, Fraction(1, 2), tuple(
+                S(c, LUCAS, 1, m) for m, c in enumerate((-1, 0, 1, 2, Fraction(-3, 4)))
+            )),
+        ),
+    }
+    for name, (lhs, rhs) in cases.items():
+        yield name, IdentityDescriptor("hand", lhs, rhs)
+
+
+def latex_form_lines() -> list[str]:
+    """One line per rendering: its name and to_latex's output.
+
+    The catalog rescaled by -3/7 * (-2/5)^n, the first 200 theorem1 and 200
+    theorem2 descriptors of fuzz seed 1 that build, each also reduced as
+    generate --reduced does, and one hand-built descriptor per branch of the
+    renderer. Rewrite the golden with
+    PYTHONPATH=src:tests python -c "import test_serialize as t;
+    open('tests/golden/latex_forms.txt', 'w').writelines(t.latex_form_lines())"
+    """
+    rendered = [
+        (e.descriptor.id, rewrite_scale(e.descriptor, Fraction(-3, 7), Fraction(-2, 5)))
+        for e in all_entries()
+    ]
+    rendered += _built(FuzzConfig(seed=1, instance_count=1000), 200)
+    rendered += _hand_built()
+    return [f"{name}\t{to_latex(d)}\n" for name, d in rendered]
+
+
+def test_latex_forms_match_the_golden():
+    golden = (Path(__file__).parent / "golden" / "latex_forms.txt").read_text()
+    assert latex_form_lines() == golden.splitlines(keepends=True)
