@@ -309,6 +309,23 @@ def pair_sum(x: SequenceDef, y: SequenceDef, j: int, k: int) -> tuple[tuple[Geom
     beta = 1/t is t's own ints swapped. Requires Y_k != 0 and Y_{k-j} != 0,
     which also forces t != 0; a refusal names the summand's sequence X, as
     for theorem2.
+
+    Proof, in closed form. Let v_i = Y_{ji+k}, a walk of (a, b), and let
+    P(t) = t^2 - a*t - b != 0. Then
+
+        sum_{i=0..n} t^{n-i} v_i = W_n + C*t^n,
+
+    with W_n = A*v_{n+1} + B*v_n, A = -t/P(t) and B = -b/P(t): substituting
+    v_{n+1} = a*v_n + b*v_{n-1} gives W_n - t*W_{n-1} = v_n, the step of the
+    sum itself, so the two differ by C*t^n with C = v_0 - W_0 =
+    t*(v_0*t - a*v_0 + v_1)/P(t). As t != 0, C = 0 exactly when t = a -
+    v_1/v_0, and with v_0 = Y_k, v_1 = Y_{k+j} = a*Y_k + b*Y_{k-j} that is
+    -b*Y_{k-j}/Y_k = (-c2)^j * Y_{k-j}/Y_k, the t above. The sum is then W_n,
+    a walk of (a, b); times the outer coefficient it is the LHS, written in
+    the basis X_{jn+2j}, X_{jn+j}. Where P(t) = 0 the closed form does not
+    apply: t is then a root of z^2 - a*z - b, and v_1 = (a - t)*v_0 makes
+    v_i = v_0*s^i for the other root s = a - t. Those descriptors are proved,
+    like any other, by the bounded sweep of :func:`first_difference`.
     """
     if j < 1:
         raise ValueError("j must be >= 1")

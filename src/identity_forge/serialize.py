@@ -3,11 +3,13 @@
 The wire format is stated once, as one field table per wire object, which
 to_json and from_json both read. Rationals travel as canonical "p/q" text
 (never floating point), so a descriptor survives a round trip field for
-field. The LaTeX renderer emits one display equation per descriptor:
-recognizable families get their conventional letters (F, L, P, Q, B) and
-anything else falls back to X, Y, ... with the labels in a trailing comment.
-When beta * outer_ratio = 1 the sum is rendered in the classical t^(n-i)
-presentation.
+field. The LaTeX renderer emits one display equation per descriptor, and
+one term renderer draws both of its sides: each LHS term and each summand
+is coef * ratio^v * X_{stride*v + offset}, at v = n and at v = i with ratio
+1. Recognizable families get their conventional letters (F, L, P, Q, B) and
+anything else falls back to X, Y, ... in order of first use, with the labels
+in a trailing comment. When beta * outer_ratio = 1 the sum is rendered in
+the classical t^(n-i) presentation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
 from .numeric import format_rational, parse_int, parse_rational, quote
-from .sequences import SequenceDef
+from .sequences import BRONZE, FIBONACCI, LUCAS, PELL, PELL_LUCAS, SequenceDef
 
 SCHEMA_VERSION = 1
 
@@ -56,10 +58,14 @@ def _object(build, **fields):
     decoded values, in that order. The first fault in document order is the
     one reported, and a value the type refuses is reported at the object."""
     names = fields.keys()
+    table = tuple((name, enc, dec) for name, (enc, dec) in fields.items())
 
     def encode(obj) -> dict:
-        # schema_version is no attribute of a descriptor; its kind writes the constant
-        return {name: enc(getattr(obj, name, None)) for name, (enc, _) in fields.items()}
+        doc = {}
+        for name, enc, _ in table:
+            # schema_version is no attribute of a descriptor; its kind writes the constant
+            doc[name] = enc(getattr(obj, name, None))
+        return doc
 
     def decode(value, where: str):
         if type(value) is not dict:
@@ -70,7 +76,7 @@ def _object(build, **fields):
                 raise ParseError(f"unknown field {quote(min(extra))}", where)
             missing = next(name for name in names if name not in value)
             raise ParseError(f"missing field {missing!r}", where)
-        args = [dec(value[name], f"{where}.{name}") for name, (_, dec) in fields.items()]
+        args = [dec(value[name], f"{where}.{name}") for name, _, dec in table]
         try:
             return build(*args)
         except ValueError as exc:  # a value the type itself refuses
@@ -157,44 +163,11 @@ def from_json(text: str) -> IdentityDescriptor:
 
 
 _KNOWN_SYMBOLS = {
-    (Fraction(1), Fraction(1), Fraction(0), Fraction(1)): "F",
-    (Fraction(1), Fraction(1), Fraction(2), Fraction(1)): "L",
-    (Fraction(2), Fraction(1), Fraction(0), Fraction(1)): "P",
-    (Fraction(2), Fraction(1), Fraction(1), Fraction(1)): "Q",
-    (Fraction(3), Fraction(1), Fraction(0), Fraction(1)): "B",
+    (seq.c1, seq.c2, seq.x0, seq.x1): letter
+    for letter, seq in zip("FLPQB", (FIBONACCI, LUCAS, PELL, PELL_LUCAS, BRONZE))
 }
 
 _FALLBACK_SYMBOLS = ("X", "Y", "Z", "W")
-
-
-class _SymbolTable:
-    """Stable sequence-letter assignment across one rendering."""
-
-    def __init__(self):
-        self._generic: dict[tuple, tuple[str, str]] = {}
-
-    def symbol(self, seq: SequenceDef) -> str:
-        key = (seq.c1, seq.c2, seq.x0, seq.x1)
-        known = _KNOWN_SYMBOLS.get(key)
-        if known is not None:
-            return known
-        if key not in self._generic:
-            pos = len(self._generic)
-            letter = (
-                _FALLBACK_SYMBOLS[pos]
-                if pos < len(_FALLBACK_SYMBOLS)
-                else f"X_{{({pos})}}"
-            )
-            self._generic[key] = (letter, seq.label or "unnamed")
-        return self._generic[key][0]
-
-    def comment(self) -> str:
-        if not self._generic:
-            return ""
-        assignments = ", ".join(
-            f"{letter}: {label}" for letter, label in self._generic.values()
-        )
-        return f"  % {assignments}"
 
 
 def _coef_latex(q: Fraction) -> str:
@@ -212,40 +185,41 @@ def _base_latex(q: Fraction) -> str:
     return format_rational(q)
 
 
-def _index_latex(stride: int, offset: int, var: str) -> str:
-    if stride == 0:
-        return str(offset)
-    head = var if stride == 1 else f"{stride}{var}"
-    if offset == 0:
-        return head
-    return f"{head}+{offset}" if offset > 0 else f"{head}{offset}"
+def _term_latex(t: GeometricTerm | Summand, ratio, var: str, letters: dict) -> tuple[str, str]:
+    """(sign, body) of t.coef * ratio^var * X_{t.stride*var + t.offset}.
 
-
-def _power_latex(coef: Fraction, ratio: Fraction, var: str) -> tuple[str, str]:
-    """Split coef*ratio^var into (sign, body); body empty means bare 1."""
-    if ratio != 1 and coef == ratio:
-        return "+", f"{_base_latex(ratio)}^{{{var}+1}}"
-    if ratio != 1 and coef == -ratio:
-        return "-", f"{_base_latex(ratio)}^{{{var}+1}}"
-    sign = "-" if coef < 0 else "+"
-    coef = abs(coef)
-    if ratio == 1:
-        body = "" if coef == 1 else _coef_latex(coef)
-        return sign, body
-    power = f"{_base_latex(ratio)}^{{{var}}}"
-    if coef == 1:
-        return sign, power
-    return sign, f"{_coef_latex(coef)} \\cdot {power}"
-
-
-def _term_latex(t: GeometricTerm, symbols: _SymbolTable) -> tuple[str, str]:
-    sign, body = _power_latex(t.coef, t.ratio, "n")
-    if t.seq is not None:
-        seq_part = f"{symbols.symbol(t.seq)}_{{{_index_latex(t.stride, t.offset, 'n')}}}"
-        body = f"{body}{seq_part}" if body else seq_part
-    elif not body:
-        body = "1"
-    return sign, body
+    An LHS term renders at var = n with its own ratio, a summand at var = i
+    with ratio 1. X is the letter of a named family, else the next generic
+    letter in order of first use, which letters records with its label.
+    """
+    coef = t.coef
+    if ratio != 1 and abs(coef) == abs(ratio):
+        sign = "+" if coef == ratio else "-"
+        body = f"{_base_latex(ratio)}^{{{var}+1}}"
+    else:
+        sign = "-" if coef < 0 else "+"
+        body = "" if abs(coef) == 1 else _coef_latex(abs(coef))
+        if ratio != 1:
+            power = f"{_base_latex(ratio)}^{{{var}}}"
+            body = f"{body} \\cdot {power}" if body else power
+    seq = t.seq
+    if seq is None:
+        return sign, body or "1"
+    key = seq.c1, seq.c2, seq.x0, seq.x1
+    letter = _KNOWN_SYMBOLS.get(key)
+    if letter is None:
+        if key not in letters:
+            pos = len(letters)
+            generic = _FALLBACK_SYMBOLS[pos] if pos < len(_FALLBACK_SYMBOLS) else f"X_{{({pos})}}"
+            letters[key] = generic, seq.label or "unnamed"
+        letter = letters[key][0]
+    if t.stride == 0:
+        index = str(t.offset)
+    else:
+        index = var if t.stride == 1 else f"{t.stride}{var}"
+        if t.offset:
+            index += f"{t.offset:+d}"
+    return sign, f"{body}{letter}_{{{index}}}"
 
 
 def _join_signed(parts: list[tuple[str, str]]) -> str:
@@ -258,17 +232,12 @@ def _join_signed(parts: list[tuple[str, str]]) -> str:
     return "".join(out) if out else "0"
 
 
-def _summand_latex(s: Summand, symbols: _SymbolTable) -> tuple[str, str]:
-    sign = "-" if s.coef < 0 else "+"
-    coef = abs(s.coef)
-    seq_part = f"{symbols.symbol(s.seq)}_{{{_index_latex(s.stride, s.offset, 'i')}}}"
-    if coef == 1:
-        return sign, seq_part
-    return sign, f"{_coef_latex(coef)}{seq_part}"
-
-
-def _sum_latex(rhs: SumSide, symbols: _SymbolTable) -> str:
-    inner = _join_signed([_summand_latex(s, symbols) for s in rhs.summands])
+def to_latex(d: IdentityDescriptor) -> str:
+    """One display equation; output bytes depend only on the descriptor."""
+    letters = {}  # generic letter and label per sequence value, in order of first use
+    lhs = _join_signed([_term_latex(t, t.ratio, "n", letters) for t in d.lhs if t.coef != 0])
+    rhs = d.rhs
+    inner = _join_signed([_term_latex(s, 1, "i", letters) for s in rhs.summands])
     if len(rhs.summands) > 1:
         inner = f"\\big({inner}\\big)"
     prefix = ""
@@ -280,20 +249,9 @@ def _sum_latex(rhs: SumSide, symbols: _SymbolTable) -> str:
         # classical presentation: outer_ratio^n * beta^i == t^(n-i)
         weight = f"{_base_latex(rhs.outer_ratio)}^{{n-i}} "
     else:
-        outer = (
-            ""
-            if rhs.outer_ratio == 1
-            else f"{_base_latex(rhs.outer_ratio)}^{{n}} \\cdot "
-        )
-        beta = "" if rhs.beta == 1 else f"{_base_latex(rhs.beta)}^{{i}}"
-        prefix = f"{prefix}{outer}" if prefix or outer else ""
-        weight = beta
-    return f"{prefix}\\sum_{{i=0}}^{{n}} {weight}{inner}".replace("  ", " ")
-
-
-def to_latex(d: IdentityDescriptor) -> str:
-    """One display equation; output bytes depend only on the descriptor."""
-    symbols = _SymbolTable()
-    lhs = _join_signed([_term_latex(t, symbols) for t in d.lhs if t.coef != 0])
-    rhs = _sum_latex(d.rhs, symbols)
-    return f"{lhs} = {rhs}{symbols.comment()}"
+        if rhs.outer_ratio != 1:
+            prefix += f"{_base_latex(rhs.outer_ratio)}^{{n}} \\cdot "
+        weight = "" if rhs.beta == 1 else f"{_base_latex(rhs.beta)}^{{i}}"
+    equation = f"{lhs} = {prefix}\\sum_{{i=0}}^{{n}} {weight}{inner}"
+    comment = ", ".join(f"{letter}: {label}" for letter, label in letters.values())
+    return f"{equation}  % {comment}" if comment else equation

@@ -1,4 +1,5 @@
-"""Mutants of the proof core and the JSON codec, applied one at a time by run.py.
+"""Mutants of the proof core, the JSON codec and the LaTeX renderer, applied
+one at a time by run.py.
 
 Each row names a file under src/identity_forge, a text that must occur in it
 exactly once, the text that replaces it, and what the mutant breaks. A
@@ -112,5 +113,68 @@ MUTANTS = [
         "old": 'f"{where}[{pos}]"',
         "new": 'f"{where}[{pos + 1}]"',
         "why": "a list item's location counts from 1, not 0",
+    },
+    {
+        "name": "bound-one-short-with-c2-zero",
+        "file": "engine.py",
+        "old": "for _, b, _, _ in classes))",
+        "new": "for _, b, _, _ in classes) - any(b == 0 for _, b, _, _ in classes))",
+        "why": "the sweep stops one residual before B only where a class has c2 = 0",
+    },
+    {
+        "name": "bound-two-per-class",
+        "file": "engine.py",
+        "old": "sum(1 if b == 0 else 2 for _, b, _, _ in classes)",
+        "new": "2 * len(classes)",
+        "why": "the bound counts 2 for every class, c2 = 0 ones too, and a passing sweep draws past B",
+    },
+    {
+        "name": "seed-y1-equal-denominator-add",
+        "file": "engine.py",
+        "old": "n1, p1 = (m1 + n1, p1) if q1 == p1",
+        "new": "n1, p1 = (n1, p1) if q1 == p1",
+        "why": "an element's y1 seed over its class's denominator replaces the class's y1, not adds to it",
+    },
+    {
+        "name": "class-key-r-on-c1",
+        "file": "engine.py",
+        "old": "an, ad = lowest_terms(an * rn, ad * rd)",
+        "new": "an, ad = lowest_terms(an, ad)",
+        "why": "a ratio-r element's c1 is not scaled by r",
+    },
+    {
+        "name": "l2-step-sign",
+        "file": "engine.py",
+        "old": "l2, s2 = a * l1 + b * l0,",
+        "new": "l2, s2 = a * l1 - b * l0,",
+        "why": "the LHS's third int, L~_2, is stepped with the sign of b flipped",
+    },
+    {
+        "name": "lone-class-for-two",
+        "file": "engine.py",
+        "old": "if len(walks) == 1:",
+        "new": "if len(walks) <= 2:",
+        "why": "the lone-class shortcut returns the first class's walk where there are two",
+    },
+    {
+        "name": "eager-json-import",
+        "file": "serialize.py",
+        "old": "from fractions import Fraction\n",
+        "new": "import json\nfrom fractions import Fraction\n",
+        "why": "every command loads json, not only the --json paths",
+    },
+    {
+        "name": "latex-power-shortcut-sign",
+        "file": "serialize.py",
+        "old": 'sign = "+" if coef == ratio else "-"',
+        "new": 'sign = "-" if coef == ratio else "+"',
+        "why": "a term with coef = +-ratio renders ratio^{n+1} with the wrong sign",
+    },
+    {
+        "name": "latex-letters-from-end",
+        "file": "serialize.py",
+        "old": "_FALLBACK_SYMBOLS[pos] if",
+        "new": "_FALLBACK_SYMBOLS[-1 - pos] if",
+        "why": "generic letters are handed out W, Z, Y, X instead of X, Y, Z, W",
     },
 ]

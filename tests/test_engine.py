@@ -29,6 +29,7 @@ from identity_forge.sequences import (
     PELL,
     PELL_LUCAS,
     SequenceDef,
+    stride_recurrence,
     term,
 )
 from identity_forge.verifier import DEFAULT_POOL, verify
@@ -180,6 +181,9 @@ class TestPairSum:
                 skipped += 1
                 continue
             d = IdentityDescriptor("pair", *pair_sum(x, y, j, k))
+            # the closed form's t^n remainder vanishes: t = a - v_1/v_0 for v_i = Y_{ji+k}
+            (an, ad), _, (u, p), (v, q) = stride_recurrence(y, j, k)
+            assert d.rhs.outer_ratio == Fraction(an * q * u - ad * v * p, ad * q * u), (x, y, j, k)
             assert verify(d, 0, 32).passed, (x, y, j, k)
             lhs, rhs = brute_sides(d, 3)
             assert lhs == rhs, (x, y, j, k)
