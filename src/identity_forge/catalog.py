@@ -15,7 +15,8 @@ divides by -X_j, which leaves X_{jn+j} = (X_j/Y_k) * sum_{i=0..n}
 t^(n-i) Y_{ji+k}, and multiplies by sigma*lam^n: nine families (eq3, eq9,
 eq10, eq12, eq19, eq44, eq45, eqA, eqPP) with sigma = lam = 1, and eq1,
 eq2 and eq8b rescaled. The other families add constant terms or several
-summands and keep their own builders.
+summands and keep their own builders; eq33[j] is eq8 at m = j rescaled by
+sigma = 2/F_j and lam = (-1)^j.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, _fib, _luc, pair_sum
+from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, _fib, _luc, _scaled, pair_sum
 from .numeric import format_rational, quote, rat_pow
 from .sequences import (
     A015530,
@@ -70,11 +71,7 @@ def _pair_sum(x, y, j, k, sigma=1, lam=1):
     """:func:`engine.pair_sum` with X_0 = 0, divided by -X_j so that its one
     nonzero LHS term is X_{jn+j}, then multiplied by sigma*lam^n."""
     (_, x_j), rhs = pair_sum(x, y, j, k)
-    scale = sigma / x_j.coef
-    return (
-        (GeometricTerm(sigma, lam, x, j, j),),
-        SumSide(rhs.outer_coef * scale, rhs.outer_ratio * lam, rhs.beta, rhs.summands),
-    )
+    return _scaled((x_j,), rhs, sigma / x_j.coef, lam)
 
 
 def _eq5(t):
@@ -127,18 +124,6 @@ def _eq23(j):
             GeometricTerm(sign * _fib(2 * j), sign),
         ),
         SumSide(1, sign, sign * lj, (Summand(1, FIBONACCI, j, 0),)),
-    )
-
-
-def _eq33(j):
-    sign = rat_pow(-1, j)
-    half_lucas = _luc(j) / 2
-    return (
-        (
-            GeometricTerm(_luc(j) / _fib(j), half_lucas, FIBONACCI, j, 0),
-            GeometricTerm(2, sign),
-        ),
-        SumSide(1, sign, sign * half_lucas, (Summand(1, LUCAS, j, 0),)),
     )
 
 
@@ -238,7 +223,7 @@ _FAMILIES: dict[str, _Family] = {
         "zero-offset j-step Fibonacci weighted sum",
     ),
     "eq33": _Family(
-        _eq33,
+        lambda j: _scaled(*_eq8(j), 2 / _fib(j), rat_pow(-1, j)),
         tuple({"j": j} for j in range(1, 10)),
         "zero-offset j-step Lucas weighted sum",
     ),

@@ -31,7 +31,7 @@ from .numeric import (
     parse_rational,
     quote,
 )
-from .sequences import SequenceDef, family_key, named_def, term
+from .sequences import NAMED_FAMILIES, SequenceDef, family_key, named_def, term
 from .serialize import ParseError, from_json, to_json, to_latex
 from .verifier import (
     FuzzConfig,
@@ -59,7 +59,7 @@ def _int_flag(text: str) -> int:
 
 
 def _add_sequence_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--family", help="named family (fibonacci, lucas, pell, pelllucas, bronze, a015530)")
+    parser.add_argument("--family", help=f"named family ({', '.join(NAMED_FAMILIES)})")
     parser.add_argument("--c1", help="recurrence coefficient c1 as p/q")
     parser.add_argument("--c2", help="recurrence coefficient c2 as p/q (nonzero)")
     parser.add_argument("--x0", help="initial value X_0 as p/q")
@@ -265,9 +265,9 @@ def _summaries(theorem: str, cfg: FuzzConfig):
 
 def _cmd_fuzz(args) -> int:
     if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
+        raise ValueError(f"--count must be >= 0, got {quote(args.count)}")
     if args.count > MAX_FUZZ_COUNT:
-        raise ValueError(f"--count must be <= {MAX_FUZZ_COUNT}, got {args.count}")
+        raise ValueError(f"--count must be <= {MAX_FUZZ_COUNT}, got {quote(args.count)}")
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2 ** 63)
@@ -298,7 +298,7 @@ def _cmd_oeis_check(args) -> int:
     from .oeis import FAMILY_TO_OEIS, OeisUnavailableError, compare_terms, get_terms
 
     if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
+        raise ValueError(f"--count must be >= 0, got {quote(args.count)}")
     family = family_key(args.family)
     oeis_id = FAMILY_TO_OEIS.get(family)
     if oeis_id is None:

@@ -37,12 +37,12 @@ oracle for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
-from .numeric import ensure_fraction, fraction_fields, lowest_terms, rat_pow
+from .numeric import ensure_fraction, fraction_fields, lowest_terms, quote, rat_pow
 from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, step_scale
 from .sequences import stride_recurrence, term, window
 
@@ -287,9 +287,9 @@ def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:
     """Exact values of both sides at n, Delta_n carried by :func:`_difference`."""
     if n < d.n_min:
-        raise ValueError(f"n={n} is below the descriptor's n_min={d.n_min}")
+        raise ValueError(f"n={quote(n)} is below the descriptor's n_min={d.n_min}")
     if n > MAX_INDEX:
-        raise ValueError(f"n={n} is beyond the limit of {MAX_INDEX}")
+        raise ValueError(f"n={quote(n)} is beyond the limit of {MAX_INDEX}")
     rec = recurrences(d)
     return _read_out(rec, *_difference(d, rec, n, n))
 
@@ -481,16 +481,18 @@ def classical_eval(name: str, *args: int) -> tuple[Fraction, Fraction]:
     return fn(*args)
 
 
+def _scaled(lhs, rhs: SumSide, sigma, lam) -> tuple[tuple[GeometricTerm, ...], SumSide]:
+    """(lhs, rhs) with both sides multiplied by sigma * lam^n."""
+    return (
+        tuple(GeometricTerm(t.coef * sigma, t.ratio * lam, t.seq, t.stride, t.offset) for t in lhs),
+        SumSide(rhs.outer_coef * sigma, rhs.outer_ratio * lam, rhs.beta, rhs.summands),
+    )
+
+
 def rewrite_scale(d: IdentityDescriptor, sigma, lam) -> IdentityDescriptor:
     """Multiply both sides by sigma * lam^n; truth is preserved for all n."""
     sigma = ensure_fraction(sigma)
     lam = ensure_fraction(lam)
     if sigma == 0 or lam == 0:
         raise ValueError("scale factors must be nonzero")
-    lhs = tuple(replace(t, coef=t.coef * sigma, ratio=t.ratio * lam) for t in d.lhs)
-    rhs = replace(
-        d.rhs,
-        outer_coef=d.rhs.outer_coef * sigma,
-        outer_ratio=d.rhs.outer_ratio * lam,
-    )
-    return replace(d, lhs=lhs, rhs=rhs)
+    return IdentityDescriptor(d.id, *_scaled(d.lhs, d.rhs, sigma, lam), d.n_min, d.citation)

@@ -3,8 +3,9 @@
 Everything downstream works over arbitrary-precision rationals; floating
 point is forbidden throughout the package. ``fractions.Fraction`` already
 keeps values in canonical form (positive denominator, reduced), so it is
-the scalar carrier here, wrapped with a strict text codec and the few
-matrix helpers the identity engine needs.
+the scalar carrier here, wrapped with a strict text codec. The 2x2 matrix
+helpers serve no part of the engine: the acceptance suite's oracle checks
+the product identities against companion-matrix determinants with them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ class DigitLimitError(ValueError):
 
 
 def quote(value) -> str:
-    """repr(value) for an error message, cut after QUOTE_CHARS characters."""
+    """repr(value) for an error message, cut after QUOTE_CHARS characters; an
+    int past MAX_DIGITS digits is described, never converted."""
+    if isinstance(value, int) and _past_max_digits(value):
+        return f"<an integer of more than {MAX_DIGITS} digits>"
     text = repr(value)
     if len(text) <= QUOTE_CHARS:
         return text

@@ -1,9 +1,11 @@
 """OEIS b-file cross-checks for the named sequence families.
 
 Each supported family maps to an OEIS id whose b-file lists the same terms
-(index map a_n = X_n, starting at the b-file's own offset). Checks run fully
-offline against bundled fixture files by default; live fetches are opt-in
-and get cached back into the fixtures directory.
+(index map a_n = X_n, starting at the b-file's own offset); the ids are
+those of :data:`sequences.NAMED_FAMILIES`. ``oeis-check`` fetches the b-file
+live first, caches it back into the fixtures directory and falls back to the
+fixture when the fetch fails; with ``--offline`` or IDENTITY_FORGE_OFFLINE=1
+it reads the fixture alone (bundled copies ship with the package).
 """
 
 from __future__ import annotations
@@ -12,16 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .numeric import quote
-from .sequences import named_def, term
+from .sequences import NAMED_FAMILIES, named_def, term
 
-FAMILY_TO_OEIS = {
-    "fibonacci": "A000045",
-    "lucas": "A000032",
-    "pell": "A000129",
-    "pelllucas": "A001333",
-    "bronze": "A006190",
-    "a015530": "A015530",
-}
+FAMILY_TO_OEIS = {key: oeis_id for key, (_, _, oeis_id) in NAMED_FAMILIES.items()}
 
 OEIS_URL = "https://oeis.org/{id}/b{digits}.txt"
 

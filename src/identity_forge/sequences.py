@@ -60,13 +60,14 @@ PELL_LUCAS = SequenceDef(2, 1, 1, 1, label="Pell-Lucas")
 BRONZE = SequenceDef(3, 1, 0, 1, label="bronze")
 A015530 = SequenceDef(4, 3, 0, 1, label="A015530")
 
-_PLAIN_FAMILIES = {
-    "fibonacci": FIBONACCI,
-    "lucas": LUCAS,
-    "pell": PELL,
-    "pelllucas": PELL_LUCAS,
-    "bronze": BRONZE,
-    "a015530": A015530,
+# the named families by family_key: definition, LaTeX letter and OEIS b-file id
+NAMED_FAMILIES = {
+    "fibonacci": (FIBONACCI, "F", "A000045"),
+    "lucas": (LUCAS, "L", "A000032"),
+    "pell": (PELL, "P", "A000129"),
+    "pelllucas": (PELL_LUCAS, "Q", "A001333"),
+    "bronze": (BRONZE, "B", "A006190"),
+    "a015530": (A015530, None, "A015530"),
 }
 
 
@@ -86,7 +87,7 @@ def _scaled_ints(c1, c2, y0, y1, m: int):
     MAX_INDEX; c1, c2, y0 and y1 are given as (numerator, denominator) pairs
     in lowest terms."""
     if m > MAX_INDEX:
-        raise ValueError(f"a walk of {m} steps is beyond the limit of {MAX_INDEX}")
+        raise ValueError(f"a walk of {quote(m)} steps is beyond the limit of {MAX_INDEX}")
     (n1, p1), (n2, p2), (u0, q0), (u1, q1) = c1, c2, y0, y1
     d, e = step_scale(p1, p2), lcm(q0, q1)
     # the walk of (c1, c2) on scale d is that of the ints (c1*d, c2*d^2) on scale 1
@@ -178,8 +179,8 @@ def family_key(name: str) -> str:
 def named_def(name: str, a=None, b=None) -> SequenceDef:
     """Look up a family by name; generalized_u / generalized_v need (a, b)."""
     key = family_key(name)
-    if key in _PLAIN_FAMILIES:
-        return _PLAIN_FAMILIES[key]
+    if key in NAMED_FAMILIES:
+        return NAMED_FAMILIES[key][0]
     if key in ("generalizedu", "u"):
         builder = generalized_u
     elif key in ("generalizedv", "v"):

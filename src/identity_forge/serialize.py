@@ -6,10 +6,11 @@ to_json and from_json both read. Rationals travel as canonical "p/q" text
 field. The LaTeX renderer emits one display equation per descriptor, and
 one term renderer draws both of its sides: each LHS term and each summand
 is coef * ratio^v * X_{stride*v + offset}, at v = n and at v = i with ratio
-1. Recognizable families get their conventional letters (F, L, P, Q, B) and
-anything else falls back to X, Y, ... in order of first use, with the labels
-in a trailing comment. When beta * outer_ratio = 1 the sum is rendered in
-the classical t^(n-i) presentation.
+1. Recognizable families get their conventional letters (F, L, P, Q, B), read
+from :data:`sequences.NAMED_FAMILIES`, and anything else falls back to X, Y,
+Z, W, then X^{(4)}, ... in order of first use, with the labels in a trailing
+comment. When beta * outer_ratio = 1 the sum is rendered in the classical
+t^(n-i) presentation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .engine import GeometricTerm, IdentityDescriptor, Summand, SumSide
 from .numeric import format_rational, parse_int, parse_rational, quote
-from .sequences import BRONZE, FIBONACCI, LUCAS, PELL, PELL_LUCAS, SequenceDef
+from .sequences import NAMED_FAMILIES, SequenceDef
 
 SCHEMA_VERSION = 1
 
@@ -163,8 +164,7 @@ def from_json(text: str) -> IdentityDescriptor:
 
 
 _KNOWN_SYMBOLS = {
-    (seq.c1, seq.c2, seq.x0, seq.x1): letter
-    for letter, seq in zip("FLPQB", (FIBONACCI, LUCAS, PELL, PELL_LUCAS, BRONZE))
+    (seq.c1, seq.c2, seq.x0, seq.x1): letter for seq, letter, _ in NAMED_FAMILIES.values() if letter
 }
 
 _FALLBACK_SYMBOLS = ("X", "Y", "Z", "W")
@@ -210,7 +210,7 @@ def _term_latex(t: GeometricTerm | Summand, ratio, var: str, letters: dict) -> t
     if letter is None:
         if key not in letters:
             pos = len(letters)
-            generic = _FALLBACK_SYMBOLS[pos] if pos < len(_FALLBACK_SYMBOLS) else f"X_{{({pos})}}"
+            generic = _FALLBACK_SYMBOLS[pos] if pos < len(_FALLBACK_SYMBOLS) else f"X^{{({pos})}}"
             letters[key] = generic, seq.label or "unnamed"
         letter = letters[key][0]
     if t.stride == 0:
@@ -250,7 +250,10 @@ def to_latex(d: IdentityDescriptor) -> str:
         weight = f"{_base_latex(rhs.outer_ratio)}^{{n-i}} "
     else:
         if rhs.outer_ratio != 1:
-            prefix += f"{_base_latex(rhs.outer_ratio)}^{{n}} \\cdot "
+            base = _base_latex(rhs.outer_ratio)
+            if prefix[-1:].isdigit() and base[0].isdigit():  # 2 and 3^{n} must not read as 23^{n}
+                prefix += " \\cdot "
+            prefix += f"{base}^{{n}} \\cdot "
         weight = "" if rhs.beta == 1 else f"{_base_latex(rhs.beta)}^{{i}}"
     equation = f"{lhs} = {prefix}\\sum_{{i=0}}^{{n}} {weight}{inner}"
     comment = ", ".join(f"{letter}: {label}" for letter, label in letters.values())

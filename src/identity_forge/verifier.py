@@ -30,7 +30,7 @@ from .engine import (
     theorem1_descriptor,
     theorem2_descriptor,
 )
-from .numeric import format_rational
+from .numeric import format_rational, quote
 from .sequences import MAX_INDEX, SequenceDef
 
 
@@ -89,7 +89,7 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
     """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
-            f"bad range: need n_min={d.n_min} <= n_lo <= n_hi, got [{n_lo}, {n_hi}]"
+            f"bad range: need n_min={d.n_min} <= n_lo <= n_hi, got [{quote(n_lo)}, {quote(n_hi)}]"
         )
     terms = (*d.lhs, *d.rhs.summands)
     reach, total = n_hi, 0
@@ -100,12 +100,13 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
         total += max(n_hi, ends, abs(stride + offset))
     if reach > MAX_INDEX:
         raise ValueError(
-            f"range [{n_lo}, {n_hi}] reaches index {reach}, beyond the limit of {MAX_INDEX}"
+            f"range [{quote(n_lo)}, {quote(n_hi)}] reaches index {quote(reach)}, "
+            f"beyond the limit of {MAX_INDEX}"
         )
     if total > MAX_TOTAL_REACH:
         raise ValueError(
-            f"range [{n_lo}, {n_hi}] has its {len(terms)} terms reach {total} indices in all, "
-            f"beyond the limit of {MAX_TOTAL_REACH}"
+            f"range [{quote(n_lo)}, {quote(n_hi)}] has its {len(terms)} terms reach "
+            f"{quote(total)} indices in all, beyond the limit of {MAX_TOTAL_REACH}"
         )
     start = time.perf_counter()
     first_failure = first_difference(d, n_lo, n_hi)

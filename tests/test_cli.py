@@ -316,6 +316,29 @@ class TestDigitBound:
         assert "set_int_max_str_digits" not in err
         assert len(err) < 400
 
+    @pytest.mark.parametrize("argv", [
+        ("seq-eval", "--family", "lucas", "--n={}"),
+        ("seq-eval", "--family", "lucas", "--n=-{}"),
+        ("generate", "--family", "lucas", "--k={}"),
+        ("generate", "--family", "lucas", "--k=-{}"),
+        ("verify", "--id", "eq1", "--n-min={}"),
+        ("verify", "--id", "eq1", "--n-max={}"),
+        ("catalog", "verify-all", "--n-max={}"),
+        ("fuzz", "--count={}"),
+        ("fuzz", "--count=-{}"),
+        ("oeis-check", "--family", "pell", "--offline", "--count=-{}"),
+    ], ids=["seq-eval-n", "seq-eval-minus-n", "generate-k", "generate-minus-k", "verify-n-min",
+            "verify-n-max", "verify-all-n-max", "fuzz-count", "fuzz-minus-count", "oeis-minus-count"])
+    def test_widest_integer_flag_refusal_is_short(self, capsys, argv):
+        # a flag of exactly MAX_DIGITS digits parses, and its later refusal
+        # neither echoes it whole nor converts a reach one digit longer
+        widest = "9" * cli.MAX_DIGITS
+        code, out, err = run(capsys, *argv[:-1], argv[-1].format(widest))
+        assert code == 2
+        assert out == ""
+        assert "set_int_max_str_digits" not in err
+        assert len(err) < 400
+
     def test_format_rational_bound_is_exact(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,6 +284,10 @@ class TestLatex:
         text = to_latex(entry("eq10", k=3).descriptor)
         assert "\\frac{1}{5}" in text
 
+    def test_integer_outer_coef_and_power_are_kept_apart(self):
+        text = to_latex(rewrite_scale(entry("eq1").descriptor, 2, 3))
+        assert text == "4 \\cdot 6^{n}F_{n+1} = 2 \\cdot 3^{n} \\cdot \\sum_{i=0}^{n} 2^{i}L_{i}"
+
 
 def _built(cfg: FuzzConfig, count: int):
     """(name, descriptor) for the first count theorem1 and theorem2
@@ -401,3 +406,10 @@ def latex_form_lines() -> list[str]:
 def test_latex_forms_match_the_golden():
     golden = (Path(__file__).parent / "golden" / "latex_forms.txt").read_text()
     assert latex_form_lines() == golden.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("golden", ["catalog_forms.txt", "latex_forms.txt"])
+def test_no_rendering_has_a_double_subscript(golden):
+    # X_{(4)}_{2i+4} is one subscript straight after another, which LaTeX refuses
+    lines = (Path(__file__).parent / "golden" / golden).read_text().splitlines()
+    assert [line for line in lines if re.search(r"_\{[^{}]*\}_", line.split("\t")[1])] == []
