@@ -11,7 +11,6 @@ import argparse
 import os
 import random
 import sys
-from _thread import allocate_lock  # threading.Lock, without importing threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,7 +114,7 @@ def _parse_param(text: str):
         raise ValueError(f"bad --param {quote(text)}: expected key=value")
     key, raw = text.split("=", 1)
     try:
-        value: object = int(raw)
+        value: object = parse_int(raw)
     except ValueError:
         try:
             value = parse_rational(raw)
@@ -271,7 +270,7 @@ def _cmd_fuzz(args) -> int:
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().randrange(2 ** 63)
-    print(f"seed = {seed}")
+    print(f"seed = {format_rational(seed)}")
     cfg = FuzzConfig(seed=seed, instance_count=args.count)
     failures = 0
     for text, failed in _summaries(args.theorem, cfg):
@@ -319,7 +318,7 @@ def _cmd_oeis_check(args) -> int:
         index, expected, computed = mismatch
         print(
             f"{oeis_id} ({family}): MISMATCH at n={index}: "
-            f"b-file has {expected}, recurrence gives {format_rational(computed)}"
+            f"b-file has {format_rational(expected)}, recurrence gives {format_rational(computed)}"
         )
         return EXIT_VERIFY_FAILED
     print(f"{oeis_id} ({family}): {count}/{count} terms match [{fixture.source}]")
@@ -384,49 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _RaisedDigitLimit:
-    """CPython's int<->str digit bound, raised to MAX_DIGITS while any main()
-    runs, so that every value within sequences.MAX_INDEX prints. The bound is
-    process-wide: the first call in saves and raises it, the last call out
-    restores it, so overlapping calls in threads neither lower it under each
-    other nor leave it raised."""
-
-    def __init__(self):
-        self._lock = allocate_lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = sys.get_int_max_str_digits()
-                sys.set_int_max_str_digits(MAX_DIGITS)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                sys.set_int_max_str_digits(self._saved)
-
-
-_DIGIT_LIMIT = _RaisedDigitLimit()
-
-
 def main(argv=None) -> int:
-    """Run one command and return its exit code.
-
-    While main runs, the process-wide int<->str digit limit is MAX_DIGITS, and
-    other threads see that raised limit too; it is restored when the last
-    overlapping call returns.
-    """
-    with _DIGIT_LIMIT:
-        try:
-            args = build_parser().parse_args(argv)
-            return args.func(args)
-        except (OffsetInvalidError, DegenerateRatioError, ParseError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    """Run one command and return its exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (OffsetInvalidError, DegenerateRatioError, ParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main_entry():

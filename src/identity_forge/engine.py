@@ -287,7 +287,7 @@ def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
 def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:
     """Exact values of both sides at n, Delta_n carried by :func:`_difference`."""
     if n < d.n_min:
-        raise ValueError(f"n={quote(n)} is below the descriptor's n_min={d.n_min}")
+        raise ValueError(f"n={quote(n)} is below the descriptor's n_min={quote(d.n_min)}")
     if n > MAX_INDEX:
         raise ValueError(f"n={quote(n)} is beyond the limit of {MAX_INDEX}")
     rec = recurrences(d)

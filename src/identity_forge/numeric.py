@@ -11,6 +11,8 @@ the product identities against companion-matrix determinants with them.
 from __future__ import annotations
 
 import re
+import sys
+from _thread import allocate_lock  # threading.Lock, without importing threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -32,15 +34,53 @@ class DigitLimitError(ValueError):
         super().__init__(TOO_LONG)
 
 
+class _RaisedDigitLimit:
+    """CPython's int<->str digit bound, raised to MAX_DIGITS only around this
+    module's size-checked conversions. The bound is process-wide: the first
+    conversion in saves and raises it, the last one out restores it, so
+    overlapping conversions in threads neither lower it under each other nor
+    leave it raised; a limit past MAX_DIGITS, or 0 (none), is left alone."""
+
+    def __init__(self):
+        self._lock = allocate_lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = sys.get_int_max_str_digits()
+                if 0 < self._saved < MAX_DIGITS:
+                    sys.set_int_max_str_digits(MAX_DIGITS)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and 0 < self._saved < MAX_DIGITS:
+                sys.set_int_max_str_digits(self._saved)
+
+
+_DIGIT_LIMIT = _RaisedDigitLimit()
+
+
 def quote(value) -> str:
     """repr(value) for an error message, cut after QUOTE_CHARS characters; an
-    int past MAX_DIGITS digits is described, never converted."""
+    int past MAX_DIGITS digits is described, and of a shorter one only the
+    leading digits are converted."""
     if isinstance(value, int) and _past_max_digits(value):
         return f"<an integer of more than {MAX_DIGITS} digits>"
-    text = repr(value)
-    if len(text) <= QUOTE_CHARS:
+    dropped = 0
+    if type(value) is int:  # not a bool, whose repr is a word
+        # digits surely past the first QUOTE_CHARS: 0.301 < log10(2)
+        dropped = max(0, (abs(value).bit_length() - 1) * 301 // 1000 - QUOTE_CHARS)
+        text = f"{'-' if value < 0 else ''}{abs(value) // 10 ** dropped}"
+    else:
+        with _DIGIT_LIMIT:
+            text = repr(value)
+    if len(text) + dropped <= QUOTE_CHARS:
         return text
-    return f"{text[:QUOTE_CHARS]}... ({len(text)} characters)"
+    return f"{text[:QUOTE_CHARS]}... ({len(text) + dropped} characters)"
 
 
 def _past_max_digits(n: int) -> bool:
@@ -74,7 +114,8 @@ def parse_int(text: str) -> int:
     which does not echo the literal."""
     if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
         raise DigitLimitError()
-    return int(text)
+    with _DIGIT_LIMIT:
+        return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -103,7 +144,8 @@ def format_rational(q: Fraction) -> str:
     q = ensure_fraction(q)
     if _past_max_digits(q.numerator) or _past_max_digits(q.denominator):
         raise DigitLimitError()
-    return str(q)
+    with _DIGIT_LIMIT:
+        return str(q)
 
 
 def lowest_terms(n: int, p: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .numeric import quote
+from .numeric import format_rational, parse_int, quote
 from .sequences import NAMED_FAMILIES, named_def, term
 
 FAMILY_TO_OEIS = {key: oeis_id for key, (_, _, oeis_id) in NAMED_FAMILIES.items()}
@@ -44,11 +44,11 @@ def parse_bfile(text: str, sequence_id: str, source: str) -> OeisFixture:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"{sequence_id} line {lineno}: expected 'index value', got {quote(raw)}")
-        index, value = int(fields[0]), int(fields[1])
+        index, value = parse_int(fields[0]), parse_int(fields[1])
         if terms and index != terms[-1][0] + 1:
             raise ValueError(
-                f"{sequence_id} line {lineno}: non-consecutive index {index} "
-                f"after {terms[-1][0]}"
+                f"{sequence_id} line {lineno}: non-consecutive index {quote(index)} "
+                f"after {quote(terms[-1][0])}"
             )
         terms.append((index, value))
     if not terms:
@@ -104,7 +104,7 @@ def get_terms(
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
         lines = [f"# {sequence_id} b-file (cached from oeis.org)"]
-        lines += [f"{index} {value}" for index, value in fixture.terms]
+        lines += [f"{format_rational(i)} {format_rational(v)}" for i, v in fixture.terms]
         (cache_dir / f"{sequence_id}.txt").write_text("\n".join(lines) + "\n")
     return fixture
 

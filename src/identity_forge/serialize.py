@@ -112,7 +112,7 @@ def _or_null(kind, refusal: str | None = None):
 
 def _version(version: int) -> int:
     if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version}")
+        raise ValueError(f"unsupported schema_version {quote(version)}")
     return version
 
 
@@ -237,8 +237,9 @@ def to_latex(d: IdentityDescriptor) -> str:
     letters = {}  # generic letter and label per sequence value, in order of first use
     lhs = _join_signed([_term_latex(t, t.ratio, "n", letters) for t in d.lhs if t.coef != 0])
     rhs = d.rhs
-    inner = _join_signed([_term_latex(s, 1, "i", letters) for s in rhs.summands])
-    if len(rhs.summands) > 1:
+    summands = [_term_latex(s, 1, "i", letters) for s in rhs.summands if s.coef != 0]
+    inner = _join_signed(summands)
+    if len(summands) > 1:
         inner = f"\\big({inner}\\big)"
     prefix = ""
     if rhs.outer_coef == -1:

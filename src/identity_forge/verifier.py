@@ -89,7 +89,7 @@ def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
     """
     if not d.n_min <= n_lo <= n_hi:
         raise ValueError(
-            f"bad range: need n_min={d.n_min} <= n_lo <= n_hi, got [{quote(n_lo)}, {quote(n_hi)}]"
+            f"bad range: need n_min={quote(d.n_min)} <= n_lo <= n_hi, got [{quote(n_lo)}, {quote(n_hi)}]"
         )
     terms = (*d.lhs, *d.rhs.summands)
     reach, total = n_hi, 0

@@ -353,21 +353,27 @@ class TestDigitBound:
             sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("path", [
-        "json-stride", "json-coef", "c1", "seq-eval-n", "generate-k", "verify-n-max", "fuzz-count",
-        "param", "c1-not-literal", "param-string", "catalog-id", "family", "oeis-family",
+        "json-stride", "json-coef", "json-n_min", "json-schema_version", "c1", "seq-eval-n",
+        "generate-k", "verify-n-max", "fuzz-count", "param", "c1-not-literal", "param-string",
+        "catalog-id", "family", "oeis-family",
     ])
     def test_long_literal_refusal_is_short(self, capsys, tmp_path, path):
         # one short message of the package's own, exit 2, and the literal not echoed
         long = "1" * (cli.MAX_DIGITS + 1)
         text = to_json(entry("eq12", j=2).descriptor)
         doc = tmp_path / "long.json"
-        doc.write_text(
-            text.replace('"stride": 2', f'"stride": {long}', 1) if path == "json-stride"
-            else text.replace('"coef": "1"', f'"coef": "{long}"', 1)
-        )
+        # a widest n_min or schema_version parses, and is then refused by value
+        old, new = {
+            "json-stride": ('"stride": 2', f'"stride": {long}'),
+            "json-n_min": ('"n_min": 0', f'"n_min": {long[1:]}'),
+            "json-schema_version": ('"schema_version": 1', f'"schema_version": {long[1:]}'),
+        }.get(path, ('"coef": "1"', f'"coef": "{long}"'))
+        doc.write_text(text.replace(old, new, 1))
         argv = {
             "json-stride": ("verify", "--json", str(doc)),
             "json-coef": ("verify", "--json", str(doc)),
+            "json-n_min": ("verify", "--json", str(doc)),
+            "json-schema_version": ("verify", "--json", str(doc)),
             "c1": ("seq-eval", "--c1", long, "--c2", "1", "--x0", "0", "--x1", "1", "--n", "3"),
             "seq-eval-n": ("seq-eval", "--family", "lucas", f"--n={long}"),
             "generate-k": ("generate", "--family", "lucas", "--k", long),
@@ -381,6 +387,8 @@ class TestDigitBound:
             "oeis-family": ("oeis-check", "--family", f"f{long}", "--offline"),
         }[path]
         message = {
+            "json-n_min": "bad range: need n_min=111",
+            "json-schema_version": "unsupported schema_version 111",
             "c1-not-literal": "not a rational literal: '111",
             "param-string": "parameters {'j': 'a111",
             "catalog-id": "unknown catalog id: 'eq111",
@@ -446,6 +454,12 @@ class TestFuzzCommand:
         code, out, _ = run(capsys, "fuzz", "--count", "10", "--theorem", "2")
         assert code == 0
         assert re.search(r"^seed = \d+$", out, re.MULTILINE)
+
+    def test_widest_seed_prints_whole(self, capsys):
+        seed = "9" * cli.MAX_DIGITS
+        code, out, _ = run(capsys, "fuzz", f"--seed={seed}", "--count=5", "--theorem=2")
+        assert code == 0
+        assert out.startswith(f"seed = {seed}\ntheorem2: ")
 
     def test_zero_fail_counts_reported(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "3", "--count", "60")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,14 @@ from identity_forge.numeric import (
     mat2_inverse,
     mat2_mul,
     mat2_pow,
+    parse_int,
     parse_rational,
+    quote,
     rat_pow,
 )
+from identity_forge.sequences import FIBONACCI, term
+
+from oracles import brute_term
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30
@@ -50,6 +56,61 @@ class TestRationalCodec:
             ensure_fraction(0.5)
         with pytest.raises(TypeError):
             Mat2(1.0, 0, 0, 1)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int<->str limit, as a library caller without cli.main has it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+class TestDigitBoundOutsideMain:
+    """numeric holds MAX_DIGITS itself: no caller raises CPython's limit first."""
+
+    def test_long_value_formats_exactly(self, default_digit_limit):
+        text = format_rational(term(FIBONACCI, 30000))
+        assert len(text) > default_digit_limit
+        sys.set_int_max_str_digits(0)
+        assert text == str(brute_term(1, 1, 0, 1, 30000))
+
+    def test_long_literal_parses_exactly(self, default_digit_limit):
+        assert parse_int("7" * 5000) == 7 * (10 ** 5000 - 1) // 9
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+    def test_far_index_refusal_is_the_packages_own(self, default_digit_limit):
+        with pytest.raises(ValueError) as exc:
+            term(FIBONACCI, 10 ** 5000)
+        assert "beyond the limit of" in str(exc.value)
+        assert "set_int_max_str_digits" not in str(exc.value)
+
+    @pytest.mark.parametrize("limit", [0, 200_000])
+    def test_a_higher_limit_is_never_lowered(self, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert len(format_rational(term(FIBONACCI, 30000))) == 6270
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+class TestQuote:
+    @pytest.mark.parametrize("value", [
+        0, 7, -7, 10 ** 99, 10 ** 100 - 1, -(10 ** 99), 10 ** 100, -(10 ** 100), 10 ** 100_000 - 1,
+        -(10 ** 100_000 - 1), 7 ** 100_000, True, "x" * 150, {"j": 10 ** 5000},
+    ], ids=["0", "7", "-7", "99-zeros", "100-nines", "minus-99-zeros", "101-digits",
+            "minus-101-digits", "widest", "minus-widest", "7^100000", "bool", "string", "dict"])
+    def test_is_its_repr_cut(self, default_digit_limit, value):
+        quoted = quote(value)
+        sys.set_int_max_str_digits(0)
+        text = repr(value)
+        assert quoted == (text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)")
+
+    def test_int_past_max_digits_is_described(self):
+        assert quote(-(10 ** 100_000)) == "<an integer of more than 100000 digits>"
 
 
 class TestRatPow:
