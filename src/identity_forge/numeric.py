@@ -3,7 +3,10 @@
 Everything downstream works over arbitrary-precision rationals; floating
 point is forbidden throughout the package. ``fractions.Fraction`` already
 keeps values in canonical form (positive denominator, reduced), so it is
-the scalar carrier here, wrapped with a strict text codec. The 2x2 matrix
+the scalar carrier here, wrapped with a strict text codec. The codec
+converts a long integer to and from text in pieces short enough for any
+int<->str limit CPython lets a caller set, and never touches that
+process-wide limit. The 2x2 matrix
 helpers serve no part of the engine: the acceptance suite's oracle checks
 the product identities against companion-matrix determinants with them.
 """
@@ -11,8 +14,6 @@ the product identities against companion-matrix determinants with them.
 from __future__ import annotations
 
 import re
-import sys
-from _thread import allocate_lock  # threading.Lock, without importing threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -24,6 +25,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:\s*/\s*[0-9]+)?$")
 MAX_DIGITS = 100_000
 TOO_LONG = f"Exceeds the limit ({MAX_DIGITS} digits) for a decimal number"
 
+# digits that one str() or int() call converts: CPython refuses to convert
+# more than a process-wide limit of digits, and the least limit it lets a
+# caller set is 640, so longer numbers are converted in pieces
+_PIECE_DIGITS = 600
+_PIECE_BOUND = 10 ** _PIECE_DIGITS
+
 QUOTE_CHARS = 100  # characters of an input that an error message quotes
 
 
@@ -34,53 +41,64 @@ class DigitLimitError(ValueError):
         super().__init__(TOO_LONG)
 
 
-class _RaisedDigitLimit:
-    """CPython's int<->str digit bound, raised to MAX_DIGITS only around this
-    module's size-checked conversions. The bound is process-wide: the first
-    conversion in saves and raises it, the last one out restores it, so
-    overlapping conversions in threads neither lower it under each other nor
-    leave it raised; a limit past MAX_DIGITS, or 0 (none), is left alone."""
-
-    def __init__(self):
-        self._lock = allocate_lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = sys.get_int_max_str_digits()
-                if 0 < self._saved < MAX_DIGITS:
-                    sys.set_int_max_str_digits(MAX_DIGITS)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and 0 < self._saved < MAX_DIGITS:
-                sys.set_int_max_str_digits(self._saved)
-
-
-_DIGIT_LIMIT = _RaisedDigitLimit()
-
-
 def quote(value) -> str:
     """repr(value) for an error message, cut after QUOTE_CHARS characters; an
     int past MAX_DIGITS digits is described, and of a shorter one only the
     leading digits are converted."""
-    if isinstance(value, int) and _past_max_digits(value):
-        return f"<an integer of more than {MAX_DIGITS} digits>"
     dropped = 0
-    if type(value) is int:  # not a bool, whose repr is a word
+    if type(value) is int and not _past_max_digits(value):  # not a bool, whose repr is a word
         # digits surely past the first QUOTE_CHARS: 0.301 < log10(2)
         dropped = max(0, (abs(value).bit_length() - 1) * 301 // 1000 - QUOTE_CHARS)
         text = f"{'-' if value < 0 else ''}{abs(value) // 10 ** dropped}"
     else:
-        with _DIGIT_LIMIT:
-            text = repr(value)
+        text = _repr(value)
     if len(text) + dropped <= QUOTE_CHARS:
         return text
     return f"{text[:QUOTE_CHARS]}... ({len(text) + dropped} characters)"
+
+
+def _repr(value) -> str:
+    """repr(value) of a str, an int, a Fraction or a dict of them, each int
+    converted by _digits; an int past MAX_DIGITS digits is described."""
+    if type(value) is int:
+        if _past_max_digits(value):
+            return f"<an integer of more than {MAX_DIGITS} digits>"
+        return _digits(value)
+    if type(value) is Fraction:
+        return f"Fraction({_repr(value.numerator)}, {_repr(value.denominator)})"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{_repr(k)}: {_repr(v)}" for k, v in value.items()) + "}"
+    return repr(value)
+
+
+def _digits(n: int) -> str:
+    """str(n), converted in pieces of at most _PIECE_DIGITS digits: n is split
+    at about half its digits until the pieces are that short."""
+    if -_PIECE_BOUND < n < _PIECE_BOUND:
+        return str(n)
+    if n < 0:
+        return f"-{_digits(-n)}"
+    k = n.bit_length() * 1233 >> 13  # about half the digits of n: 1233 / 4096 < log10(2)
+    # divmod(n, 10**k), with 10**k = 5**k << k: a divisor of fewer bits
+    hi, rest = divmod(n >> k, 5 ** k)
+    lo = (rest << k) + (n & ((1 << k) - 1))
+    return _digits(hi) + _digits(lo).zfill(k)
+
+
+def _from_digits(text: str, pow5: dict[int, int] | None = None) -> int:
+    """int(text) for a string of decimal digits, converted in the fewest
+    pieces of at most _PIECE_DIGITS digits: hi * 10**k + lo, where lo holds
+    half the pieces. pow5 holds the powers 5**k this conversion computed."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    if pow5 is None:
+        pow5 = {}
+    pieces = -(-len(text) // _PIECE_DIGITS)
+    k = len(text) * (pieces // 2) // pieces
+    if k not in pow5:
+        pow5[k] = 5 ** k
+    # hi * 10**k, with 10**k = 5**k << k: a factor of fewer bits
+    return (_from_digits(text[:-k], pow5) * pow5[k] << k) + _from_digits(text[-k:], pow5)
 
 
 def _past_max_digits(n: int) -> bool:
@@ -112,10 +130,22 @@ def fraction_fields(obj, *names: str) -> None:
 def parse_int(text: str) -> int:
     """int(text), refusing more than MAX_DIGITS digits with DigitLimitError,
     which does not echo the literal."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
     if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
         raise DigitLimitError()
-    with _DIGIT_LIMIT:
-        return int(text)
+    # int()'s grammar: decimal digits, single underscores between them, a
+    # sign and surrounding whitespace
+    body = text.strip()
+    sign = body[:1] if body.startswith(("+", "-")) else ""
+    groups = body[len(sign):].split("_")
+    digits = "".join(groups)
+    # digits.isdecimal(), told at C speed for ASCII text
+    if "" in groups or not (digits.isascii() and digits.encode().isdigit() or digits.isdecimal()):
+        # the refusal int() gives, which cuts its echo at 200 characters
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    n = _from_digits(digits)
+    return -n if sign == "-" else n
 
 
 def parse_rational(text: str) -> Fraction:
@@ -130,9 +160,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {quote(text)}")
     if "/" in s:
         num_text, den_text = (part.strip() for part in s.split("/"))
-        if parse_int(den_text) == 0:
+        den = parse_int(den_text)
+        if den == 0:
             raise ValueError(f"zero denominator in {quote(text)}")
-        return Fraction(parse_int(num_text), parse_int(den_text))
+        return Fraction(parse_int(num_text), den)
     return Fraction(parse_int(s))
 
 
@@ -142,10 +173,10 @@ def format_rational(q: Fraction) -> str:
     A numerator or denominator past MAX_DIGITS digits raises DigitLimitError.
     """
     q = ensure_fraction(q)
-    if _past_max_digits(q.numerator) or _past_max_digits(q.denominator):
+    num, den = q.numerator, q.denominator
+    if _past_max_digits(num) or _past_max_digits(den):
         raise DigitLimitError()
-    with _DIGIT_LIMIT:
-        return str(q)
+    return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
 
 
 def lowest_terms(n: int, p: int) -> tuple[int, int]:

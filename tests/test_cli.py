@@ -245,7 +245,9 @@ class TestIndexCap:
 
 
 class TestDigitBound:
-    """main lifts CPython's 4300-digit int<->str bound to cli.MAX_DIGITS, no further."""
+    """Answers past CPython's 4300-digit int<->str limit print exactly, and
+    literals and answers past cli.MAX_DIGITS digits are refused, with the
+    process-wide limit left as the caller set it."""
 
     @pytest.mark.parametrize("family, n", [("bronze", -11981), ("a015530", 14003)])
     def test_answer_past_default_bound_prints(self, capsys, family, n):
@@ -262,8 +264,8 @@ class TestDigitBound:
             sys.set_int_max_str_digits(limit)
 
     def test_overlapping_calls_in_threads(self, monkeypatch):
-        # each call prints about 6,700 digits; one thread's restore must not
-        # refuse another's output, and the last call out restores the limit
+        # each call prints about 6,700 digits while other threads do the same:
+        # every output is exact, and the limit reads as before the calls
         argv = ["seq-eval", "--family", "a015530", "--n", "14003"]
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)

@@ -97,6 +97,96 @@ class TestDigitBoundOutsideMain:
             sys.set_int_max_str_digits(saved)
 
 
+@pytest.fixture
+def least_digit_limit():
+    """The least int<->str limit CPython lets a caller set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def unlimited(convert, value):
+    """convert(value) under no int<->str limit, or the message it is refused
+    with; the limit in force before is restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def cut_repr(value) -> str:
+    text = unlimited(repr, value)
+    return text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)"
+
+
+def _ints_near_piece_bounds(digit_counts=(599, 600, 601, 1200, 1201, 100_000)):
+    rng = random.Random(600)
+    values = []
+    for digits in digit_counts:
+        n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        values += [n, -n, 10 ** digits - 1, -(10 ** digits - 1), 10 ** (digits - 1)]
+    return values
+
+
+class TestPiecewiseCodec:
+    """numeric converts ints to and from text in pieces of at most 600
+    digits, and never changes CPython's process-wide int<->str limit."""
+
+    def test_limit_is_never_set(self, default_digit_limit, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("set_int_max_str_digits was called")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert len(format_rational(term(FIBONACCI, 30000))) == 6270
+        assert parse_int("7" * 5000) == 7 * (10 ** 5000 - 1) // 9
+        assert quote({"j": 10 ** 5000}) == "{'j': 1" + "0" * 93 + "... (5008 characters)"
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+    def test_ints_near_piece_bounds(self, least_digit_limit):
+        for n in _ints_near_piece_bounds():
+            text = unlimited(str, n)
+            assert format_rational(n) == text
+            assert parse_int(text) == n
+            assert quote(n) == cut_repr(n)
+        assert sys.get_int_max_str_digits() == least_digit_limit
+
+    def test_fractions(self, least_digit_limit):
+        values = _ints_near_piece_bounds((599, 600, 601, 1200, 1201))
+        fractions = [Fraction(num, abs(den)) for num, den in zip(values, reversed(values))]
+        for q in [*fractions, Fraction(-(10 ** 100_000 - 1), 10 ** 1200 + 7)]:
+            assert format_rational(q) == unlimited(str, q)
+            assert parse_rational(unlimited(str, q)) == q
+            assert quote(q) == cut_repr(q)
+
+    def test_params_dict_with_long_fraction(self, least_digit_limit):
+        params = {"j": Fraction(7 ** 5916, 3), "name": "x'y", "k": -(10 ** 4999)}
+        assert len(unlimited(str, params["j"].numerator)) == 5000
+        assert quote(params) == cut_repr(params)
+
+    @pytest.mark.parametrize("text", [
+        "+" + "1" * 700, "-" + "1" * 700, " \t" + "9" * 700 + "\n", "\u2003-" + "12_3" * 200 + "\u2003",
+        "_".join(["7"] * 700), "\u0661" * 300 + "2" * 400, "0" * 700,
+        "1" * 5000 + "x", "_" + "1" * 700, "1" * 700 + "_", "1" * 300 + "__" + "1" * 400,
+        "+_" + "1" * 700, "-" + " " * 700, " " * 701, "1" * 350 + " " + "1" * 350,
+        "1" * 350 + "+" + "1" * 350, "1" * 700 + "\u00b2", "1" * 300 + "'" + "1" * 400 + '"',
+    ], ids=["plus", "minus", "whitespace", "unicode-space", "underscores", "unicode-digits",
+            "zeros", "trailing-letter", "leading-underscore", "trailing-underscore",
+            "double-underscore", "underscore-after-sign", "sign-only", "blank", "inner-space",
+            "inner-sign", "superscript", "quotes"])
+    def test_long_literal_grammar_is_ints(self, least_digit_limit, text):
+        # a value where int() gives one, else int()'s own refusal
+        try:
+            parsed = parse_int(text)
+        except ValueError as exc:
+            parsed = str(exc)
+        assert parsed == unlimited(int, text)
+
+
 class TestQuote:
     @pytest.mark.parametrize("value", [
         0, 7, -7, 10 ** 99, 10 ** 100 - 1, -(10 ** 99), 10 ** 100, -(10 ** 100), 10 ** 100_000 - 1,
