@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import all_entries, catalog_ids, entry
+from .catalog import all_entries, entry
 from .engine import (
     DegenerateRatioError,
     OffsetInvalidError,
@@ -73,8 +73,6 @@ def _sequence_from_args(args) -> SequenceDef:
     if any(flag is None for flag in custom):
         raise ValueError("provide either --family or all of --c1 --c2 --x0 --x1")
     c1, c2, x0, x1 = (parse_rational(flag) for flag in custom)
-    if c2 == 0:
-        raise ValueError("c2 must be nonzero")
     return SequenceDef(c1, c2, x0, x1, label=args.label)
 
 
@@ -396,6 +394,3 @@ def main(argv=None) -> int:
 def main_entry():
     sys.exit(main())
 
-
-# keep the catalog id list importable for shell completion scripts
-CATALOG_IDS = tuple(catalog_ids())

@@ -47,6 +47,13 @@ from .sequences import FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, step_
 from .sequences import stride_recurrence, term, window
 
 
+# the most that the reaches of one descriptor's terms may add up to (see
+# _check_range); a theorem1/theorem2 descriptor, whose three terms each reach
+# at most MAX_INDEX when n_hi > 0, stays within it on any range that passes
+# the MAX_INDEX check
+MAX_TOTAL_REACH = 3 * MAX_INDEX
+
+
 class DegenerateRatioError(ValueError):
     """The normalized-sequence generator needs t = c1 - x1 to be nonzero."""
 
@@ -246,6 +253,44 @@ def _read_out(rec, n: int, delta) -> tuple[Fraction, Fraction]:
     return lhs, lhs - delta
 
 
+def _check_range(d: IdentityDescriptor, n_lo: int, n_hi: int) -> None:
+    """Refuse [n_lo, n_hi] unless n_min <= n_lo <= n_hi and its walks are bounded.
+
+    The walks of :func:`_difference` and :func:`_read_out` are seeded at
+    X_offset and step n to at most n_hi (a passing sweep stops at its proof
+    bound n_lo + B, with the verdict of the whole range), so a range whose
+    n_hi or any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is
+    refused before anything is walked. So is one whose terms' reaches add up
+    past MAX_TOTAL_REACH, a term's reach being the largest of n_hi, the
+    |index| of its seeds X_offset and X_{offset+stride} and
+    |stride*n_hi + offset|: a term's walks step no further than that, so
+    their sum bounds the work of the descriptor's set-up and sweep together.
+    Both limits are contracts on the range asked for, whatever part of it
+    the sweep walks.
+    """
+    if not d.n_min <= n_lo <= n_hi:
+        raise ValueError(
+            f"bad range: need n_min={quote(d.n_min)} <= n_lo <= n_hi, got [{quote(n_lo)}, {quote(n_hi)}]"
+        )
+    terms = (*d.lhs, *d.rhs.summands)
+    reach, total = n_hi, 0
+    for t in terms:
+        stride, offset = t.stride, t.offset
+        ends = max(abs(offset), abs(stride * n_hi + offset))
+        reach = max(reach, ends)
+        total += max(n_hi, ends, abs(stride + offset))
+    if reach > MAX_INDEX:
+        raise ValueError(
+            f"range [{quote(n_lo)}, {quote(n_hi)}] reaches index {quote(reach)}, "
+            f"beyond the limit of {MAX_INDEX}"
+        )
+    if total > MAX_TOTAL_REACH:
+        raise ValueError(
+            f"range [{quote(n_lo)}, {quote(n_hi)}] has its {len(terms)} terms reach "
+            f"{quote(total)} indices in all, beyond the limit of {MAX_TOTAL_REACH}"
+        )
+
+
 def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
     """The first (n, lhs, rhs) with lhs != rhs for n in [n_lo, n_hi], else None.
 
@@ -277,8 +322,9 @@ def first_difference(d: IdentityDescriptor, n_lo: int, n_hi: int):
     has no counterexample past n_lo.
 
     The witness is (n, L_n, L_n - Delta_n) from :func:`_read_out`. The
-    caller bounds the range, as :func:`verifier.verify` does.
+    range is refused first unless :func:`_check_range` admits it.
     """
+    _check_range(d, n_lo, n_hi)
     rec = recurrences(d)
     n, delta = _difference(d, rec, n_lo, n_hi)
     return (n, *_read_out(rec, n, delta)) if delta else None
@@ -288,8 +334,7 @@ def descriptor_eval(d: IdentityDescriptor, n: int) -> tuple[Fraction, Fraction]:
     """Exact values of both sides at n, Delta_n carried by :func:`_difference`."""
     if n < d.n_min:
         raise ValueError(f"n={quote(n)} is below the descriptor's n_min={quote(d.n_min)}")
-    if n > MAX_INDEX:
-        raise ValueError(f"n={quote(n)} is beyond the limit of {MAX_INDEX}")
+    _check_range(d, n, n)
     rec = recurrences(d)
     return _read_out(rec, *_difference(d, rec, n, n))
 
@@ -404,11 +449,7 @@ def docagne_general(x: SequenceDef, k: int, n: int) -> tuple[Fraction, Fraction]
 
 def cassini_general(x: SequenceDef, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of X_{k+2}*X_k - X_{k+1}^2 = (-c2)^k * (X_2*X_0 - X_1^2)."""
-    x_k, x_k1 = window(x, k)
-    x_k2 = x.c1 * x_k1 + x.c2 * x_k
-    lhs = x_k2 * x_k - x_k1 ** 2
-    rhs = rat_pow(-x.c2, k) * (term(x, 2) * x.x0 - x.x1 * x.x1)
-    return lhs, rhs
+    return docagne_general(x, k, 0)
 
 
 def _fib(n: int) -> Fraction:

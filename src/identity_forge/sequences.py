@@ -109,8 +109,8 @@ def int_walk(a: int, b: int, lo: int, hi: int, m: int = 0):
     With :func:`_skip`, which takes its first m steps and reads a window
     without a generator, this is the package's one recurrence loop: with
     (a, b) = (c1*D, c2*D^2) it steps the ints E*D^j*Y_j of any walk on a
-    scale (D, E). The caller bounds m (:func:`engine.descriptor_eval` and
-    :func:`verifier.verify` by MAX_INDEX).
+    scale (D, E). It does not bound m itself; the proof core's walks are
+    bounded by :func:`engine._check_range`.
     """
     lo, hi = _skip(a, b, lo, hi, m)
     while True:

@@ -1,11 +1,11 @@
 """Exact range verification of identity descriptors and seeded fuzzing.
 
 Verification decides whether the two sides of a descriptor agree at every
-integer in a range: :func:`verify` bounds the range and the work it may
-demand, and :func:`engine.first_difference` sweeps it on plain ints. A single
-exact counterexample falsifies an identity, so a failed sweep stops at the
-first witness; a passing one stops at its proof bound, once the residuals
-it has seen decide the rest of the range.
+integer in a range: :func:`verify` times :func:`engine.first_difference`,
+which bounds the range and the work it may demand and sweeps it on plain
+ints. A single exact counterexample falsifies an identity, so a failed sweep
+stops at the first witness; a passing one stops at its proof bound, once the
+residuals it has seen decide the rest of the range.
 
 The fuzzers draw random sequence definitions from a small rational pool,
 apply a generator from :mod:`identity_forge.engine`, and verify the result;
@@ -30,15 +30,8 @@ from .engine import (
     theorem1_descriptor,
     theorem2_descriptor,
 )
-from .numeric import format_rational, quote
-from .sequences import MAX_INDEX, SequenceDef
-
-
-# the most that the reaches of one descriptor's terms may add up to (see
-# verify); a theorem1/theorem2 descriptor, whose three terms each reach at
-# most MAX_INDEX when n_hi > 0, stays within it on any range that passes the
-# MAX_INDEX check
-MAX_TOTAL_REACH = 3 * MAX_INDEX
+from .numeric import format_rational
+from .sequences import SequenceDef
 
 
 @dataclass(frozen=True)
@@ -72,42 +65,9 @@ def report_line(report: VerificationReport) -> str:
 
 
 def verify(d: IdentityDescriptor, n_lo: int, n_hi: int) -> VerificationReport:
-    """Exact pass/fail over [n_lo, n_hi] with the first counterexample, if any.
-
-    The sweep and its witness are :func:`engine.first_difference`. Its walks
-    are seeded at X_offset and step n to at most n_hi (a passing sweep stops
-    at its proof bound n_lo + B, B = 2 per recurrence class or 1 per class
-    with c2 = 0, with the verdict of the whole range), so a range whose n_hi
-    or any |stride*n + offset| at n in {0, n_hi} exceeds MAX_INDEX is
-    rejected before anything is walked. So is one whose terms' reaches add
-    up past MAX_TOTAL_REACH, a term's reach being the largest of n_hi, the
-    |index| of its seeds X_offset and X_{offset+stride} and
-    |stride*n_hi + offset|: a term's walks step no further than that, so
-    their sum bounds the work of the descriptor's set-up and sweep together.
-    Both limits are contracts on the range asked for, whatever part of it
-    the sweep walks.
-    """
-    if not d.n_min <= n_lo <= n_hi:
-        raise ValueError(
-            f"bad range: need n_min={quote(d.n_min)} <= n_lo <= n_hi, got [{quote(n_lo)}, {quote(n_hi)}]"
-        )
-    terms = (*d.lhs, *d.rhs.summands)
-    reach, total = n_hi, 0
-    for t in terms:
-        stride, offset = t.stride, t.offset
-        ends = max(abs(offset), abs(stride * n_hi + offset))
-        reach = max(reach, ends)
-        total += max(n_hi, ends, abs(stride + offset))
-    if reach > MAX_INDEX:
-        raise ValueError(
-            f"range [{quote(n_lo)}, {quote(n_hi)}] reaches index {quote(reach)}, "
-            f"beyond the limit of {MAX_INDEX}"
-        )
-    if total > MAX_TOTAL_REACH:
-        raise ValueError(
-            f"range [{quote(n_lo)}, {quote(n_hi)}] has its {len(terms)} terms reach "
-            f"{quote(total)} indices in all, beyond the limit of {MAX_TOTAL_REACH}"
-        )
+    """Exact pass/fail over [n_lo, n_hi] with the first counterexample, if any,
+    from :func:`engine.first_difference`, which refuses a range past its
+    limits before anything is walked."""
     start = time.perf_counter()
     first_failure = first_difference(d, n_lo, n_hi)
     status = "pass" if first_failure is None else "fail"

@@ -370,6 +370,24 @@ class TestDescriptorEval:
         with pytest.raises(ValueError, match="beyond the limit"):
             descriptor_eval(d, MAX_INDEX + 1)
 
+    def test_stride_reach_past_max_index_rejected(self):
+        # n = 10,000 is within the index cap, but the stride-20 term reaches
+        # index 200,000; every value of X_n = X_{n-2} is 1, so a walk would be cheap
+        ones = SequenceDef(0, 1, 1, 1)
+        d = IdentityDescriptor(
+            "strided", (GeometricTerm(1, 1, ones, 20, 0),), SumSide(1, 1, 0, (Summand(1, ones, 0, 0),))
+        )
+        with pytest.raises(ValueError, match="reaches index 200000, beyond the limit"):
+            descriptor_eval(d, 10_000)
+
+    def test_total_reach_past_limit_rejected(self):
+        # each stride-0 term at offset 100,000 is within the index cap, but four add up past it
+        ones = SequenceDef(0, 1, 1, 1)
+        far = GeometricTerm(1, 1, ones, 0, 100_000)
+        d = IdentityDescriptor("four far", (far, far, far), SumSide(3, 1, 1, (Summand(1, ones, 0, 100_000),)))
+        with pytest.raises(ValueError, match="indices in all, beyond the limit of 300000"):
+            descriptor_eval(d, 0)
+
     def test_negative_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             GeometricTerm(1, 1, FIBONACCI, -1, 0)

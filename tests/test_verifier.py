@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from identity_forge.catalog import all_entries, entry
 from identity_forge.engine import descriptor_eval, recurrences, theorem1_descriptor, theorem2_descriptor
 from identity_forge.engine import GeometricTerm, IdentityDescriptor, Summand, SumSide, rewrite_scale
-from identity_forge.engine import DegenerateRatioError, OffsetInvalidError
+from identity_forge.engine import MAX_TOTAL_REACH, DegenerateRatioError, OffsetInvalidError
 from identity_forge import engine, verifier
 from identity_forge.numeric import format_rational
 from identity_forge.sequences import A015530, FIBONACCI, LUCAS, MAX_INDEX, SequenceDef, int_walk, term
 from identity_forge.verifier import (
     DEFAULT_POOL,
-    MAX_TOTAL_REACH,
     FuzzConfig,
     VerificationReport,
     fuzz_theorem1,
